@@ -6,8 +6,10 @@ over a parameter grid), `table` (the s(n, 0, k) matrix at fixed genus) and
 emitted as decimal strings, never floating point, so arbitrarily large
 dimensions survive the trip through JSON.
 
-Exit codes: 0 success, 1 check failure, 2 unsupported input, 3
-certification failure, 64 usage error.
+Exit codes: 0 success, 1 check failure, 2 unsupported input (including a
+trigonometric sum of more than `verlinde.MAX_SUM_TERMS` reduced terms,
+which is rejected before any work), 3 certification failure, 64 usage
+error (including a `--max-precision-bits` below 1).
 """
 
 from __future__ import annotations
@@ -101,6 +103,16 @@ def _genus_range(text: str) -> tuple[int, int]:
     return lo, hi
 
 
+def _precision_bits(text: str) -> int:
+    try:
+        bits = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
+    if bits < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {bits}")
+    return bits
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="thetadim", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
@@ -112,7 +124,9 @@ def build_parser() -> argparse.ArgumentParser:
     dim.add_argument("--degree", "-d", type=int, required=True)
     dim.add_argument("--level", "-k", type=int, required=True)
     dim.add_argument("--format", choices=("text", "json"), default="text")
-    dim.add_argument("--max-precision-bits", type=int, default=DEFAULT_MAX_PRECISION_BITS)
+    dim.add_argument(
+        "--max-precision-bits", type=_precision_bits, default=DEFAULT_MAX_PRECISION_BITS
+    )
     dim.set_defaults(handler=_cmd_dim)
 
     check = sub.add_parser("check", help="sweep one identity over a grid")
@@ -122,7 +136,9 @@ def build_parser() -> argparse.ArgumentParser:
     check.add_argument("--genus-range", type=_genus_range, default=(1, 3), metavar="A..B")
     check.add_argument("--max-abs-degree", type=int, default=3)
     check.add_argument("--format", choices=("text", "json"), default="text")
-    check.add_argument("--max-precision-bits", type=int, default=DEFAULT_MAX_PRECISION_BITS)
+    check.add_argument(
+        "--max-precision-bits", type=_precision_bits, default=DEFAULT_MAX_PRECISION_BITS
+    )
     check.add_argument(
         "--negative-control",
         action="store_true",
@@ -135,7 +151,9 @@ def build_parser() -> argparse.ArgumentParser:
     table.add_argument("--max-rank", type=int, default=4)
     table.add_argument("--max-level", type=int, default=4)
     table.add_argument("--format", choices=("csv", "json", "md"), default="csv")
-    table.add_argument("--max-precision-bits", type=int, default=DEFAULT_MAX_PRECISION_BITS)
+    table.add_argument(
+        "--max-precision-bits", type=_precision_bits, default=DEFAULT_MAX_PRECISION_BITS
+    )
     table.set_defaults(handler=_cmd_table)
 
     factor = sub.add_parser("factor", help="symbolic theta-bundle factorizations")

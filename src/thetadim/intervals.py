@@ -10,11 +10,19 @@ fixed-point integer arithmetic with directed rounding, so the bounds are
 mathematically rigorous.  An interval of width < 1/2 that contains exactly
 one integer is then a proof of that integer value (`certify_integer`).
 
-Endpoints are `fractions.Fraction`; once the sine enclosures are in hand,
-all remaining interval arithmetic (products, powers, linear combinations)
-is exact, so the only width in a result comes from the sine enclosures and
-shrinks as 2**-precision.  `evaluate_sum` doubles the shared working
-precision until a caller-supplied width target holds, up to a hard cap.
+The sum kernel (`evaluate_sum`) keeps one numeric representation: integer
+lower and upper bounds at a single fixed-point scale 2**-w, with w the
+precision plus guard bits.  Every multiply, power, reciprocal and signed
+rational scalar is floored on the lower bound and ceiled on the upper one,
+in the manner of Arb's dyadic arithmetic (Johansson, "Arb: efficient
+arbitrary-precision midpoint-radius interval arithmetic", IEEE Trans.
+Computers, 2017); the sine enclosures are dyadic at that scale, so they
+enter exactly.  Each distinct sine power is enclosed once per evaluation.
+The precision is a rung of the ladder 64 * 2**j, and the first rung is
+chosen a priori from a float estimate of the magnitudes and rounding
+count involved, so a sum is normally certified in one precision step;
+doubling remains as the fallback, up to a hard cap.  Floats only choose
+the rung, never an endpoint.
 
 Everything here is a pure function of its inputs; the per-precision caches
 are idempotent write-once tables, so concurrent use is safe.
@@ -28,18 +36,21 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Sequence
 
-#: Arbitrary-precision rational scalar used for all exact endpoint
-#: arithmetic.  `fractions.Fraction` already maintains the invariants we
-#: need: positive denominator and gcd-normalized representation.
-BigRational = Fraction
-
 _START_BITS = 64
 DEFAULT_MAX_PRECISION_BITS = 16384
 
 # Extra working bits beyond the requested precision.  The fixed-point series
 # loops accumulate at most a few thousand unit roundings even at the deepest
 # precision, so 32 guard bits leave the final width far below 2**(1 - prec).
+# The sum kernel works at the same scale, so the sine bounds enter it exactly.
 _GUARD_BITS = 32
+
+# Inputs to the a priori precision estimate (`_first_rung`): a sine
+# enclosure's width in units of its working scale is a few units (8 is an
+# over-estimate), and a few bits of margin absorb the crudeness of the
+# rounding count.  They only choose the first precision, never a bound.
+_SINE_ERROR_UNITS = 8
+_MARGIN_BITS = 4
 
 
 class CertificationError(Exception):
@@ -99,8 +110,10 @@ class SineProductTerm:
     """The product  prod_j |2 sin(pi m_j / M)|^(e_j)  over one modulus M.
 
     Offsets are reduced modulo M into (0, M) at construction; the absolute
-    value makes this harmless since |sin(pi x / M)| has period M.  An empty
-    factor list represents the value 1.
+    value makes this harmless since |sin(pi x / M)| has period M.  Since no
+    offset vanishes modulo M, every factor is strictly positive, so any
+    integer exponent is allowed: a negative one divides by the sine power.
+    An empty factor list represents the value 1.
     """
 
     modulus: int
@@ -111,8 +124,6 @@ class SineProductTerm:
             raise ValueError("modulus must be a positive integer")
         reduced = []
         for m, e in self.factors:
-            if e < 0:
-                raise ValueError("exponents must be nonnegative")
             r = m % self.modulus
             if r == 0:
                 raise ValueError(f"offset {m} vanishes modulo {self.modulus}")
@@ -252,45 +263,152 @@ def sin_enclosure(m: int, modulus: int, precision_bits: int) -> CertifiedInterva
 
 
 # ---------------------------------------------------------------------------
-# exact interval algebra on Fraction endpoints
+# the sum kernel: integer bounds at one fixed-point scale
 # ---------------------------------------------------------------------------
 
-def _mul(a: tuple[Fraction, Fraction], b: tuple[Fraction, Fraction]) -> tuple[Fraction, Fraction]:
-    products = (a[0] * b[0], a[0] * b[1], a[1] * b[0], a[1] * b[1])
-    return min(products), max(products)
+def _to_scaled(iv: CertifiedInterval, work_bits: int) -> tuple[int, int]:
+    """Integer bounds [lo, hi] with the interval inside [lo, hi] / 2**work_bits."""
+    lo, hi = iv.lo, iv.hi
+    return (
+        (lo.numerator << work_bits) // lo.denominator,
+        -((-hi.numerator << work_bits) // hi.denominator),
+    )
 
 
-def _pow(iv: tuple[Fraction, Fraction], e: int) -> tuple[Fraction, Fraction]:
-    lo, hi = iv
-    if e == 0:
-        return Fraction(1), Fraction(1)
-    if lo >= 0:
-        return lo**e, hi**e
-    if hi <= 0:
-        return (hi**e, lo**e) if e % 2 == 0 else (lo**e, hi**e)
-    # Straddles zero.
-    if e % 2 == 0:
-        return Fraction(0), max(-lo, hi) ** e
-    return lo**e, hi**e
+def _power_scaled(lo: int, hi: int, e: int, work_bits: int) -> tuple[int, int]:
+    """Bounds on x**e at scale 2**work_bits, for x in [lo, hi] / 2**work_bits, x > 0.
+
+    A negative exponent inverts first and then powers 1/x.  Every product
+    is floored on the lower bound and ceiled on the upper one; with both
+    bounds nonnegative that keeps the enclosure rigorous.
+    """
+    if e < 0:
+        if lo <= 0:
+            raise ValueError("cannot invert an enclosure that reaches zero")
+        unit = 1 << (2 * work_bits)
+        lo, hi = unit // hi, -(-unit // lo)
+        e = -e
+    result_lo = result_hi = 1 << work_bits
+    while e:
+        if e & 1:
+            result_lo = (result_lo * lo) >> work_bits
+            result_hi = -((-result_hi * hi) >> work_bits)
+        e >>= 1
+        if e:
+            lo = (lo * lo) >> work_bits
+            hi = -((-hi * hi) >> work_bits)
+    return result_lo, result_hi
 
 
-def _scalar_mul(c: Fraction, iv: tuple[Fraction, Fraction]) -> tuple[Fraction, Fraction]:
-    return (c * iv[0], c * iv[1]) if c >= 0 else (c * iv[1], c * iv[0])
+def _times_rational(c: Fraction, lo: int, hi: int) -> tuple[int, int]:
+    """Bounds on c * x for x in [lo, hi], at the same scale; c may be negative."""
+    p, q = c.numerator, c.denominator
+    if p < 0:
+        lo, hi = hi, lo
+    return (lo * p) // q, -((-hi * p) // q)
+
+
+def _log2_abs(q: Fraction) -> float:
+    return math.log2(abs(q.numerator)) - math.log2(q.denominator)
+
+
+def _approx(q: Fraction, spec: str) -> str:
+    """q formatted as a float, or as a signed power of two beyond float range."""
+    try:
+        return format(float(q), spec)
+    except OverflowError:
+        return f"{'-' if q < 0 else ''}2**{_log2_abs(q):.1f}"
+
+
+def _first_rung(
+    prepared: Sequence[tuple[Fraction, SineProductTerm]],
+    scale: Fraction,
+    target: Fraction,
+    start_bits: int,
+    max_bits: int,
+) -> int:
+    """The first rung of the ladder start_bits * 2**j (capped at max_bits)
+    whose working scale is expected to meet the width target.
+
+    At scale 2**-w a term's error is about 2**-w times its rounding count,
+    amplified by the product of its factors above 1 (small factors carry
+    an absolute, not a relative, error) and by |coeff| and |scale|.  The
+    sine enclosures' error enters once per unit of exponent, divided by the
+    sine.  Floats only choose the rung: the enclosure itself stays
+    rigorous, and the ladder still doubles if the estimate falls short.
+    """
+    costs: dict[tuple[int, int, int], tuple[float, float]] = {}
+    bounds = []
+    for coeff, term in prepared:
+        if not coeff:
+            continue
+        log_size, roundings = max(_log2_abs(coeff), 0.0), 2.0
+        for m, e in term.factors:
+            key = (m, term.modulus, e)
+            cost = costs.get(key)
+            if cost is None:
+                x = 2 * math.sin(math.pi * m / term.modulus)
+                cost = costs[key] = (
+                    max(e * math.log2(x), 0.0),
+                    abs(e) * _SINE_ERROR_UNITS / x + 2 * abs(e).bit_length() + 2,
+                )
+            log_size += cost[0]
+            roundings += cost[1]
+        bounds.append(log_size + math.log2(roundings))
+    needed = 0.0
+    if bounds and scale:
+        top = max(bounds)
+        error_log2 = top + math.log2(sum(2.0 ** (b - top) for b in bounds))
+        needed = error_log2 + _log2_abs(scale) - _log2_abs(target) + _MARGIN_BITS - _GUARD_BITS
+    precision = min(start_bits, max_bits)
+    while precision < needed and precision < max_bits:
+        precision = min(2 * precision, max_bits)
+    return precision
+
+
+def _sum_scaled(
+    prepared: Sequence[tuple[Fraction, SineProductTerm]], scale: Fraction, precision: int
+) -> tuple[int, int, int]:
+    """Bounds (lo, hi, w) with scale * sum(coeff * term) in [lo, hi] / 2**w.
+
+    Each distinct (offset, modulus, exponent) power is enclosed once and
+    shared by every term that uses it.
+    """
+    work = precision + _GUARD_BITS
+    powers: dict[tuple[int, int, int], tuple[int, int]] = {}
+    total_lo = total_hi = 0
+    for coeff, term in prepared:
+        lo = hi = 1 << work
+        for m, e in term.factors:
+            key = (m, term.modulus, e)
+            power = powers.get(key)
+            if power is None:
+                s_lo, s_hi = _to_scaled(sin_enclosure(m, term.modulus, precision), work)
+                power = powers[key] = _power_scaled(s_lo, s_hi, e, work)
+            lo = (lo * power[0]) >> work
+            hi = -((-hi * power[1]) >> work)
+        lo, hi = _times_rational(coeff, lo, hi)
+        total_lo += lo
+        total_hi += hi
+    return (*_times_rational(scale, total_lo, total_hi), work)
 
 
 def evaluate_sum(
-    terms: Iterable[tuple[BigRational, SineProductTerm]],
-    scale: BigRational,
-    target_width: BigRational,
+    terms: Iterable[tuple[Fraction, SineProductTerm]],
+    scale: Fraction,
+    target_width: Fraction,
     *,
     start_bits: int = _START_BITS,
     max_bits: int = DEFAULT_MAX_PRECISION_BITS,
 ) -> CertifiedInterval:
     """Enclose  scale * sum(coeff * value(term))  to within target_width.
 
-    All sine factors are evaluated at a shared working precision, which
-    doubles until the width target holds; exceeding `max_bits` raises
-    CertificationError.  An empty term list yields the exact interval [0, 0].
+    The first precision is the rung of the ladder start_bits * 2**j that an
+    a priori estimate expects to meet the target (see `_first_rung`); the
+    precision doubles from there only if it does not, and exceeding
+    `max_bits` raises CertificationError.  The result's `precision_bits` is
+    the rung that met the target.  An empty term list yields the exact
+    interval [0, 0].
     """
     scale = Fraction(scale)
     target = Fraction(target_width)
@@ -298,27 +416,17 @@ def evaluate_sum(
         raise ValueError("target_width must be positive")
     if start_bits < 1 or max_bits < 1:
         raise ValueError("precision bounds must be positive")
-    prepared: Sequence[tuple[Fraction, SineProductTerm]] = [
-        (Fraction(coeff), term) for coeff, term in terms
-    ]
+    prepared = [(Fraction(coeff), term) for coeff, term in terms]
 
-    precision = min(start_bits, max_bits)
+    precision = _first_rung(prepared, scale, target, start_bits, max_bits)
     while True:
-        total_lo = total_hi = Fraction(0)
-        for coeff, term in prepared:
-            factor_lo, factor_hi = Fraction(1), Fraction(1)
-            for m, e in term.factors:
-                s = sin_enclosure(m, term.modulus, precision)
-                factor_lo, factor_hi = _mul((factor_lo, factor_hi), _pow((s.lo, s.hi), e))
-            lo, hi = _scalar_mul(coeff, (factor_lo, factor_hi))
-            total_lo += lo
-            total_hi += hi
-        total_lo, total_hi = _scalar_mul(scale, (total_lo, total_hi))
-        if total_hi - total_lo <= target:
-            return CertifiedInterval(total_lo, total_hi, precision)
+        lo, hi, work = _sum_scaled(prepared, scale, precision)
+        width = Fraction(hi - lo, 1 << work)
+        if width <= target:
+            return CertifiedInterval(Fraction(lo, 1 << work), Fraction(hi, 1 << work), precision)
         if precision >= max_bits:
             raise CertificationError(
-                f"width {float(total_hi - total_lo):.3g} exceeds target {target} "
+                f"width {_approx(width, '.3g')} exceeds target {target} "
                 f"at the precision cap ({max_bits} bits)"
             )
         precision = min(2 * precision, max_bits)
@@ -333,13 +441,13 @@ def certify_integer(interval: CertifiedInterval) -> int:
     """
     if interval.width >= Fraction(1, 2):
         raise AmbiguousInterval(
-            f"width {float(interval.width):.3g} >= 1/2; refine before certifying"
+            f"width {_approx(interval.width, '.3g')} >= 1/2; refine before certifying"
         )
     lowest = math.ceil(interval.lo)
     highest = math.floor(interval.hi)
     if lowest > highest:
         raise NoIntegerInInterval(
-            f"no integer in [{float(interval.lo):.6f}, {float(interval.hi):.6f}]"
+            f"no integer in [{_approx(interval.lo, '.6f')}, {_approx(interval.hi, '.6f')}]"
         )
     if lowest < highest:  # unreachable with width < 1/2; kept for clarity
         raise AmbiguousInterval(f"{highest - lowest + 1} integer candidates")

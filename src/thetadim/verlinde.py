@@ -23,7 +23,6 @@ from itertools import combinations
 
 from .intervals import (
     DEFAULT_MAX_PRECISION_BITS,
-    BigRational,
     SineProductTerm,
     certify_integer,
     evaluate_sum,
@@ -33,6 +32,11 @@ METHOD_TRIG = "trig-sum"
 METHOD_ELLIPTIC = "elliptic-closed-form"
 METHOD_TRANSFER = "theorem1-transfer"
 METHOD_RANK_ONE = "trivial-rank-one"
+
+#: Largest number of terms C(n+k-1, n-1) of a reduced trigonometric sum
+#: that `beauville_sum` evaluates; beyond it the query is rejected as
+#: unsupported before any term is built.
+MAX_SUM_TERMS = 100_000
 
 
 class UnsupportedQuery(Exception):
@@ -94,14 +98,14 @@ class DimResult:
 
 def verlinde_sum_terms(
     g: int, n: int, k: int
-) -> tuple[list[tuple[BigRational, SineProductTerm]], BigRational]:
+) -> tuple[list[tuple[Fraction, SineProductTerm]], Fraction]:
     """Terms and scale of the rank-n, level-k trigonometric sum at genus g.
 
     The sum runs over the n-element subsets S of {1, .., n+k} in
     lexicographic order; each term is
     prod_{s in S, t not in S} |2 sin(pi (s - t)/(n + k))|^(g-1) and the
     overall scale is (n/(n+k))^g.  This unoptimized enumeration is the
-    reference path; symmetry reductions must reproduce it exactly.
+    reference path: `reduced_sum_terms` must certify the same integers.
     """
     if g < 1 or n < 1 or k < 1:
         raise ValueError("genus, rank and level must all be >= 1")
@@ -118,9 +122,67 @@ def verlinde_sum_terms(
     return terms, Fraction(n, modulus) ** g
 
 
+def reduced_sum_terms(
+    g: int, n: int, k: int
+) -> tuple[list[tuple[Fraction, SineProductTerm]], Fraction]:
+    """The same sum as `verlinde_sum_terms`, reduced by two exact identities.
+
+    With M = n + k and x_d = |2 sin(pi d/M)|, this is the SU(n) alcove form
+    of the Verlinde sum (Beauville, "Conformal blocks, fusion rules and the
+    Verlinde formula", 1996):
+
+    * terms are invariant under S -> S + 1 mod M, so the sum over all
+      subsets is M/n times the sum over the C(M-1, n-1) subsets that
+      contain M; M/n is every term's coefficient;
+    * prod_{t != s} x_(s-t) = M for every s, so a term's product over
+      s in S, t not in S equals M^(n(g-1)) * prod_{s < s' in S}
+      x_(s'-s)^(-2(g-1)).
+
+    Since x_d = x_(M-d), a term is a product over the folded offsets
+    d <= M/2 only.  Writing M^(n(g-1)) back as the product of all sines
+    (the second identity summed over the circle) and merging equal offsets
+    gives x_d the exponent (g-1)(n*m_d - 2c_d), where c_d counts the pairs
+    of S at folded offset d and m_d = 2 (1 when 2d = M) counts the offsets
+    that fold onto d.  That exponent is never negative: it counts the
+    pairs s in S, t not in S at offset d.  Keeping M^(n(g-1)) as an exact
+    coefficient instead would multiply a huge constant into tiny negative
+    sine powers, which a fixed-point scale resolves only in absolute terms,
+    so the working precision would have to cover the constant's bits
+    rather than the value's.
+
+    The symmetry S -> complement of S is deliberately not used: it would
+    turn s(n, 0, k) and s(k, 0, n) into one computation and make the
+    level-rank check between them vacuous.
+    """
+    if g < 1 or n < 1 or k < 1:
+        raise ValueError("genus, rank and level must all be >= 1")
+    modulus = n + k
+    coeff = Fraction(modulus, n)
+    fold = [min(d, modulus - d) for d in range(modulus)]
+    # n * m_d counts the pairs (s in S, t anywhere) at folded offset d; each
+    # pair inside S is then removed in both orders.
+    base = [0] + [n * (1 if 2 * d == modulus else 2) for d in range(1, modulus // 2 + 1)]
+    terms = []
+    for rest in combinations(range(1, modulus), n - 1):
+        subset = rest + (modulus,)
+        crossing = base[:]
+        for i, s in enumerate(subset):
+            for t in subset[i + 1:]:
+                crossing[fold[t - s]] -= 2
+        factors = tuple((d, (g - 1) * c) for d, c in enumerate(crossing) if c) if g > 1 else ()
+        terms.append((coeff, SineProductTerm(modulus, factors)))
+    return terms, Fraction(n, modulus) ** g
+
+
 @lru_cache(maxsize=None)
 def _certified_sum_value(g: int, n: int, k: int, max_bits: int) -> int:
-    terms, scale = verlinde_sum_terms(g, n, k)
+    count = math.comb(n + k - 1, n - 1)
+    if count > MAX_SUM_TERMS:
+        raise UnsupportedQuery(
+            f"the reduced sum for rank {n}, level {k} has {count} terms, "
+            f"above the limit of {MAX_SUM_TERMS}"
+        )
+    terms, scale = reduced_sum_terms(g, n, k)
     enclosure = evaluate_sum(terms, scale, Fraction(1, 4), max_bits=max_bits)
     return certify_integer(enclosure)
 
@@ -131,7 +193,10 @@ def beauville_sum(
     """Certified integer value of the trigonometric subset sum.
 
     This is the level-k dimension on the fixed-determinant moduli space of
-    rank n and degree 0 mod n.
+    rank n and degree 0 mod n.  It evaluates `reduced_sum_terms` on the
+    integer fixed-point kernel, whose first precision is chosen a priori,
+    so the sum is normally certified in one precision step.  A sum of more
+    than MAX_SUM_TERMS reduced terms raises UnsupportedQuery.
     """
     return DimResult(_certified_sum_value(g, n, k, max_precision_bits), METHOD_TRIG, True)
 

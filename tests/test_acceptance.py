@@ -18,8 +18,11 @@ import pytest
 from thetadim.checks import InvolutionTriple, duality_dim_check, involution, theorem1_ledger
 from thetadim.cli import main
 from thetadim.intervals import (
+    _START_BITS,
+    DEFAULT_MAX_PRECISION_BITS,
     NoIntegerInInterval,
     SineProductTerm,
+    _first_rung,
     certify_integer,
     evaluate_sum,
     sin_enclosure,
@@ -31,9 +34,11 @@ from thetadim.verlinde import (
     _certified_sum_value,
     beauville_sum,
     gl_dim,
+    reduced_sum_terms,
     sl_dim,
     verlinde_sum_terms,
 )
+from trig_oracle import FROZEN_SUMS
 
 
 @contextmanager
@@ -193,6 +198,55 @@ def test_criterion_8_certification_discipline():
         corrupted = [(c, SineProductTerm(t.modulus + 1, t.factors)) for c, t in terms]
         with pytest.raises(NoIntegerInInterval):
             certify_integer(evaluate_sum(corrupted, scale, Fraction(1, 4)))
+
+
+def _certify_at_first_rung(terms, scale):
+    """(certified integer, rung) of a sum, asserting the a priori rung needed
+    no doubling."""
+    target = Fraction(1, 4)
+    enclosure = evaluate_sum(terms, scale, target)
+    first = _first_rung(
+        [(Fraction(c), t) for c, t in terms], Fraction(scale), target,
+        _START_BITS, DEFAULT_MAX_PRECISION_BITS,
+    )
+    assert enclosure.precision_bits == first
+    return certify_integer(enclosure), first
+
+
+def test_reduced_and_reference_paths_certify_the_same_integers():
+    with criterion("reduced sum equals reference sum on the acceptance grid and FROZEN_SUMS"):
+        cells = set(_trig_queries_from_criteria_1_to_5()) | set(FROZEN_SUMS)
+        for g, n, k in sorted(cells):
+            terms, scale = reduced_sum_terms(g, n, k)
+            assert len(terms) == math.comb(n + k - 1, n - 1)
+            reduced, _ = _certify_at_first_rung(terms, scale)
+            reference, _ = _certify_at_first_rung(*verlinde_sum_terms(g, n, k))
+            assert reduced == reference == FROZEN_SUMS.get((g, n, k), reduced), (g, n, k)
+
+
+@pytest.mark.parametrize("g,n,k", [(12, 5, 5), (30, 3, 2), (60, 4, 1), (96, 4, 1)])
+def test_reduced_path_first_rung_on_deep_values(g, n, k):
+    # 100- to 200-bit values: the a priori rung is above the 64-bit start
+    # and still certifies without doubling.
+    reduced, bits = _certify_at_first_rung(*reduced_sum_terms(g, n, k))
+    assert bits >= 128
+    assert reduced == _certify_at_first_rung(*verlinde_sum_terms(g, n, k))[0]
+
+
+def test_reduced_path_negative_control():
+    with criterion("reduced sum with an off-by-one modulus misses every integer"):
+        rejected = 0
+        for g, n, k in ((2, 2, 1), (2, 2, 2), (2, 3, 1)):
+            terms, scale = reduced_sum_terms(g, n, k)
+            corrupted = [
+                (coeff, SineProductTerm(term.modulus + 1, term.factors))
+                for coeff, term in terms
+            ]
+            try:
+                certify_integer(evaluate_sum(corrupted, scale, Fraction(1, 4)))
+            except NoIntegerInInterval:
+                rejected += 1
+        assert rejected >= 1
 
 
 def test_criterion_9_symbolic_layer(capsys):

@@ -18,6 +18,7 @@ from thetadim.checks import (
     involution,
     theorem1_ledger,
 )
+from thetadim import verlinde
 from thetadim.verlinde import UnsupportedQuery, VerlindeQuery
 
 triples = st.builds(
@@ -153,6 +154,18 @@ class TestGridSweep:
     def test_elliptic_grid(self):
         report = grid_sweep("elliptic", GridBounds(5, 5, 1, 1, 0))
         assert report.passed and report.instances_run == 25
+
+    @pytest.mark.parametrize("name", ["elliptic", "bott-szenes"])
+    def test_sums_beyond_term_bound_are_skipped(self, monkeypatch, name):
+        # The bound is checked inside the cached sum, so start and end cold.
+        monkeypatch.setattr(verlinde, "MAX_SUM_TERMS", 10)
+        verlinde._certified_sum_value.cache_clear()
+        try:
+            report = grid_sweep(name, GridBounds(4, 4, 2, 2, 0))
+        finally:
+            verlinde._certified_sum_value.cache_clear()
+        assert report.passed
+        assert report.instances_run > 0 and report.skipped_unsupported > 0
 
     def test_empty_bounds(self):
         report = grid_sweep("involution", GridBounds(0, 0, 1, 0, 0))

@@ -1,6 +1,11 @@
 """CLI tests: output formats, exit codes, JSON round-trips."""
 
 import json
+import os
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import pytest
 
@@ -47,6 +52,14 @@ class TestDim:
                                "--max-precision-bits", "8")
         assert code == EXIT_CERTIFICATION
         assert "certification failed" in err
+
+    def test_certification_failure_beyond_float_range(self, capsys):
+        # a 4001-bit value at a 64-bit cap: the reported width exceeds any float
+        code, _, err = run_cli(capsys, "dim", "sl", "--genus", "2000", "--rank", "4",
+                               "--degree", "0", "--level", "1",
+                               "--max-precision-bits", "64")
+        assert code == EXIT_CERTIFICATION
+        assert "certification failed: width 2**" in err
 
     def test_negative_degree_flag(self, capsys):
         code, out, _ = run_cli(capsys, "dim", "gl", "--genus", "2", "--rank", "2",
@@ -175,6 +188,42 @@ class TestTable:
     def test_bad_genus(self, capsys):
         code, _, _ = run_cli(capsys, "table", "--genus", "0")
         assert code == EXIT_USAGE
+
+
+class TestPrecisionFlag:
+    @pytest.mark.parametrize("bits", ["0", "-5"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["dim", "sl", "--genus", "2", "--rank", "2", "--degree", "0", "--level", "1"],
+            ["check", "elliptic", "--max-rank", "2", "--max-level", "2"],
+            ["table", "--genus", "2"],
+        ],
+        ids=["dim", "check", "table"],
+    )
+    def test_nonpositive_cap_is_usage_error(self, capsys, argv, bits):
+        code, out, err = run_cli(capsys, *argv, "--max-precision-bits", bits)
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert "--max-precision-bits" in err
+
+
+class TestWorkBound:
+    def test_oversized_sum_fails_fast(self):
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        start = time.perf_counter()
+        proc = subprocess.run(
+            [sys.executable, "-m", "thetadim.cli", "dim", "sl", "-g", "2", "-n", "40",
+             "-d", "0", "-k", "40"],
+            capture_output=True, text=True, env=env, timeout=30,
+        )
+        elapsed = time.perf_counter() - start
+        assert proc.returncode == EXIT_UNSUPPORTED
+        assert proc.stdout == ""
+        assert "terms" in proc.stderr and "Traceback" not in proc.stderr
+        assert elapsed < 1.0, f"took {elapsed:.3f}s"
 
 
 class TestFactor:

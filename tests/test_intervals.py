@@ -118,9 +118,14 @@ class TestSineProductTerm:
         with pytest.raises(ValueError):
             SineProductTerm(5, ((10, 1),))
 
-    def test_rejects_negative_exponent(self):
-        with pytest.raises(ValueError):
-            SineProductTerm(5, ((1, -1),))
+    def test_negative_exponent_is_reciprocal(self):
+        # (2 sin(pi/4))^-2 = 1/2 at M = 4, so twice the term certifies 1.
+        term = SineProductTerm(4, ((1, -2),))
+        assert term.factors == ((1, -2),)
+        iv = evaluate_sum([(Fraction(1), term)], Fraction(1), Fraction(1, 2**60))
+        assert iv.lo <= Fraction(1, 2) <= iv.hi
+        doubled = evaluate_sum([(Fraction(2), term)], Fraction(1), Fraction(1, 4))
+        assert certify_integer(doubled) == 1
 
 
 class TestEvaluateSum:
@@ -163,6 +168,31 @@ class TestEvaluateSum:
                 Fraction(1, 2**1000),
                 max_bits=256,
             )
+
+    @given(
+        data=st.data(),
+        modulus=st.integers(2, 12),
+        scale=st.fractions(min_value=-8, max_value=8, max_denominator=9).filter(bool),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_signed_sums_with_reciprocals_contain_oracle(self, data, modulus, scale):
+        factor = st.tuples(st.integers(1, modulus - 1), st.integers(-4, 4))
+        term = st.tuples(
+            st.fractions(min_value=-6, max_value=6, max_denominator=5),
+            st.lists(factor, max_size=3),
+        )
+        drawn = data.draw(st.lists(term, min_size=1, max_size=4))
+        terms = [(coeff, SineProductTerm(modulus, tuple(factors))) for coeff, factors in drawn]
+        oracle = Fraction(0)
+        for coeff, factors in drawn:
+            value = Fraction(coeff)
+            for m, e in factors:
+                value *= two_sin_fraction(m, modulus, dps=120) ** e
+            oracle += value
+        oracle *= scale
+        iv = evaluate_sum(terms, scale, Fraction(1, 2**20))
+        assert iv.lo - ORACLE_SLACK <= oracle <= iv.hi + ORACLE_SLACK
+        assert iv.width <= Fraction(1, 2**20)
 
     def test_width_shrinks_when_precision_doubles(self):
         term = SineProductTerm(7, ((1, 1), (2, 1), (3, 1)))
