@@ -5,24 +5,29 @@ an exact integer comparison over finite parameter grids:
 
   * the level-rank involution (n, d, k) -> (k*nbar, k*(nbar*(g-1) - dbar), h)
     squares to the identity;
-  * the transfer ledger s*(k*n^2/h)^g = v*n^(2g), equating the two ways of
-    counting sections through the n^(2g)-sheeted Galois covering of the
-    full moduli space;
+  * the transfer ledger s*(k*n^2/h)^g = v*n^(2g), the two ways of counting
+    sections through the n^(2g)-sheeted Galois covering of the full moduli
+    space.  As `gl_dim` defines v = s*(k/h)^g, it holds by algebra; its one
+    non-trivial content is the integrality h^g | s*k^g, which `gl_dim`
+    enforces by raising IntegralityViolation;
   * the duality dimension consequence s(n1, d1, k) = v(n2, d2, h) on the
     partner triple;
   * the degree-zero special case s(n, 0, k)*k^g = s(k, 0, n)*n^g, which
     pits two independently computed trigonometric sums against each other;
   * the genus-1 collapse of the trigonometric sum to a binomial.
 
-Queries the engine cannot evaluate are skipped and counted, never treated
-as failures.  Sweeps enumerate lexicographically in (g, n, d, k) and report
-failures in that order, so reports are reproducible; instances are
-independent, so they may be evaluated concurrently without changing the
-report.
+Each identity is written once, as the two sides of its comparison at one
+instance (g, n, d, k); single-instance checks and sweeps share it.  Queries
+the engine cannot evaluate are skipped and counted, never treated as
+failures, and a sweep that runs no instance is "empty", not passed.
+Sweeps enumerate lexicographically in (g, n, d, k) and report failures in
+that order, so reports are reproducible; instances are independent, so
+they may be evaluated concurrently without changing the report.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -35,8 +40,6 @@ from .verlinde import (
     sl_dim,
     symmetric_power_dim,
 )
-
-CHECK_NAMES = ("theorem1", "involution", "bott-szenes", "duality", "elliptic")
 
 _DUALITY_NOTE = (
     "dimension consequence of the conjectural strange duality; the equality "
@@ -83,7 +86,10 @@ class CheckFailure:
 
 @dataclass(frozen=True)
 class CheckReport:
-    """Outcome of one identity check or of a whole grid sweep."""
+    """Outcome of one identity check or of a whole grid sweep.
+
+    A report that ran no instance has not passed: its status is "empty".
+    """
 
     check_name: str
     instances_run: int
@@ -93,11 +99,13 @@ class CheckReport:
 
     @property
     def passed(self) -> bool:
-        return not self.failures
+        return self.instances_run > 0 and not self.failures
 
     @property
     def status(self) -> str:
-        return "pass" if self.passed else "fail"
+        if self.failures:
+            return "fail"
+        return "pass" if self.passed else "empty"
 
     def to_json_dict(self) -> dict:
         payload = {
@@ -111,24 +119,6 @@ class CheckReport:
         if self.note:
             payload["note"] = self.note
         return payload
-
-
-@dataclass(frozen=True)
-class DeckGroupInfo:
-    """The deck group of the Galois covering of the full moduli space by the
-    fixed-determinant space times the Jacobian: the n-torsion line bundles,
-    of order n^(2g), with as many characters."""
-
-    rank: int
-    genus: int
-    order: int
-    character_count: int
-
-    def __post_init__(self):
-        if self.order != self.character_count:
-            raise ValueError("a finite abelian group has as many characters as elements")
-        if self.order != self.rank ** (2 * self.genus):
-            raise ValueError("deck group of the covering has order rank^(2*genus)")
 
 
 @dataclass(frozen=True)
@@ -162,46 +152,111 @@ def involution(t: InvolutionTriple) -> InvolutionTriple:
     )
 
 
-def deck_group(n: int, g: int) -> DeckGroupInfo:
-    """Order and character count n^(2g) of the covering's deck group."""
-    if n < 1 or g < 1:
-        raise ValueError("rank and genus must be >= 1")
-    order = n ** (2 * g)
-    return DeckGroupInfo(rank=n, genus=g, order=order, character_count=order)
+# The two sides of each identity at one instance (g, n, d, k); each raises
+# UnsupportedQuery when the instance is not computable.  The dimension
+# functions are looked up in this module at call time, never bound early,
+# so replacing them here (to trace them, say) reaches every check.
+
+
+def _theorem1_sides(g, n, d, k, bits):
+    query = VerlindeQuery(g, n, d, k)
+    s = sl_dim(query, max_precision_bits=bits).value
+    v = gl_dim(query, max_precision_bits=bits).value
+    return s * (k * n * n // query.h) ** g, v * n ** (2 * g)
+
+
+def _involution_sides(g, n, d, k, bits):
+    t = InvolutionTriple(n, d, k, g)
+    return involution(involution(t)), t
+
+
+def _bott_szenes_sides(g, n, d, k, bits):
+    lhs = beauville_sum(g, n, k, max_precision_bits=bits).value * k**g
+    rhs = beauville_sum(g, k, n, max_precision_bits=bits).value * n**g
+    return lhs, rhs
+
+
+def _duality_sides(g, n, d, k, bits):
+    p = involution(InvolutionTriple(n, d, k, g))
+    s = sl_dim(VerlindeQuery(g, n, d, k), max_precision_bits=bits).value
+    v = gl_dim(VerlindeQuery(g, p.rank, p.degree, p.level), max_precision_bits=bits).value
+    return s, v
+
+
+def _elliptic_sides(g, n, d, k, bits):
+    # the trig engine against the genus-1 closed form
+    return beauville_sum(g, n, k, max_precision_bits=bits).value, symmetric_power_dim(n, k)
+
+
+def _genera(bounds: GridBounds):
+    return range(bounds.genus_min, bounds.genus_max + 1)
+
+
+def _degrees(bounds: GridBounds):
+    return range(-bounds.max_abs_degree, bounds.max_abs_degree + 1)
+
+
+# check name -> (sides, genera swept, degrees swept).  Bott-Szenes needs
+# genus >= 2; elliptic always runs at genus 1; both are degree-0 identities.
+_CHECKS = {
+    "theorem1": (_theorem1_sides, _genera, _degrees),
+    "involution": (_involution_sides, _genera, _degrees),
+    "bott-szenes": (
+        _bott_szenes_sides,
+        lambda b: range(max(b.genus_min, 2), b.genus_max + 1),
+        lambda b: (0,),
+    ),
+    "duality": (_duality_sides, _genera, _degrees),
+    "elliptic": (_elliptic_sides, lambda b: (1,), lambda b: (0,)),
+}
+
+CHECK_NAMES = tuple(_CHECKS)
+
+
+def _compare(check: str, inputs: tuple, bits: int, negative_control: bool = False):
+    """The CheckFailure of `check` at `inputs`, or None when the sides agree.
+
+    The negative control perturbs the right-hand side here, and only here.
+    """
+    lhs, rhs = _CHECKS[check][0](*inputs, bits)
+    if negative_control:
+        rhs = _perturb(rhs)
+    return None if lhs == rhs else CheckFailure(inputs, str(lhs), str(rhs))
+
+
+def _note(check: str) -> str:
+    return _DUALITY_NOTE if check == "duality" else ""
+
+
+def _check_one(check: str, inputs: tuple, bits: int) -> CheckReport:
+    failure = _compare(check, inputs, bits)
+    return CheckReport(check, 1, (failure,) if failure else (), note=_note(check))
 
 
 def theorem1_ledger(
     query: VerlindeQuery, *, max_precision_bits: int = DEFAULT_MAX_PRECISION_BITS
 ) -> CheckReport:
     """Check s*(k*n^2/h)^g = v*n^(2g): section count upstairs on the covering
-    versus character-by-character count downstairs."""
-    s = sl_dim(query, max_precision_bits=max_precision_bits).value
-    v = gl_dim(query, max_precision_bits=max_precision_bits).value
-    g, n, k, h = query.genus, query.rank, query.level, query.h
-    lhs = s * (k * n * n // h) ** g
-    rhs = v * n ** (2 * g)
+    versus character-by-character count downstairs.
+
+    `gl_dim` defines v = s*(k/h)^g, so the two sides agree by algebra; what
+    this actually tests is `gl_dim`'s integrality h^g | s*k^g, which raises
+    IntegralityViolation when it fails.
+    """
     inputs = (query.genus, query.rank, query.degree, query.level)
-    failures = () if lhs == rhs else (CheckFailure(inputs, str(lhs), str(rhs)),)
-    return CheckReport("theorem1", 1, failures)
+    return _check_one("theorem1", inputs, max_precision_bits)
 
 
 def duality_dim_check(
     t: InvolutionTriple, *, max_precision_bits: int = DEFAULT_MAX_PRECISION_BITS
 ) -> CheckReport:
     """Check the dimension equality s(n1, d1, k) = v(n2, d2, h) across the
-    involution; raises UnsupportedQuery when either side is not computable."""
-    partner = involution(t)
-    s = sl_dim(
-        VerlindeQuery(t.genus, t.rank, t.degree, t.level),
-        max_precision_bits=max_precision_bits,
-    ).value
-    v = gl_dim(
-        VerlindeQuery(partner.genus, partner.rank, partner.degree, partner.level),
-        max_precision_bits=max_precision_bits,
-    ).value
-    inputs = (t.genus, t.rank, t.degree, t.level)
-    failures = () if s == v else (CheckFailure(inputs, str(s), str(v)),)
-    return CheckReport("duality", 1, failures, note=_DUALITY_NOTE)
+    involution; raises UnsupportedQuery when either side is not computable.
+
+    At d = 0 mod n this is the Bott-Szenes identity s(n, 0, k)*k^g =
+    s(k, 0, n)*n^g routed through `gl_dim`.
+    """
+    return _check_one("duality", (t.genus, t.rank, t.degree, t.level), max_precision_bits)
 
 
 def bott_szenes_check(
@@ -211,19 +266,7 @@ def bott_szenes_check(
     independent trigonometric sums."""
     if g < 2:
         raise ValueError("genus must be >= 2")
-    lhs = beauville_sum(g, n, k, max_precision_bits=max_precision_bits).value * k**g
-    rhs = beauville_sum(g, k, n, max_precision_bits=max_precision_bits).value * n**g
-    inputs = (g, n, 0, k)
-    failures = () if lhs == rhs else (CheckFailure(inputs, str(lhs), str(rhs)),)
-    return CheckReport("bott-szenes", 1, failures)
-
-
-def _genus_range(bounds: GridBounds, minimum: int = 1):
-    return range(max(bounds.genus_min, minimum), bounds.genus_max + 1)
-
-
-def _degree_range(bounds: GridBounds):
-    return range(-bounds.max_abs_degree, bounds.max_abs_degree + 1)
+    return _check_one("bott-szenes", (g, n, 0, k), max_precision_bits)
 
 
 def grid_sweep(
@@ -240,89 +283,31 @@ def grid_sweep(
     deliberately perturbed, so failures are expected: this exercises the
     failure-reporting path itself.
     """
-    if check not in CHECK_NAMES:
+    if check not in _CHECKS:
         raise ValueError(f"unknown check {check!r}; expected one of {CHECK_NAMES}")
-
-    instances = 0
-    skipped = 0
-    failures: list[CheckFailure] = []
-    note = _DUALITY_NOTE if check == "duality" else ""
-
-    def compare(inputs: tuple, lhs, rhs):
-        nonlocal instances
+    _, genera, degrees = _CHECKS[check]
+    grid = itertools.product(
+        genera(bounds),
+        range(1, bounds.max_rank + 1),
+        degrees(bounds),
+        range(1, bounds.max_level + 1),
+    )
+    instances = skipped = 0
+    failures = []
+    for inputs in grid:
+        try:
+            failure = _compare(check, inputs, max_precision_bits, negative_control)
+        except UnsupportedQuery:
+            skipped += 1
+            continue
         instances += 1
-        if negative_control:
-            rhs = _perturb(rhs)
-        if lhs != rhs:
-            failures.append(CheckFailure(inputs, str(lhs), str(rhs)))
+        if failure:
+            failures.append(failure)
 
-    if check == "involution":
-        for g in _genus_range(bounds):
-            for n in range(1, bounds.max_rank + 1):
-                for d in _degree_range(bounds):
-                    for k in range(1, bounds.max_level + 1):
-                        t = InvolutionTriple(n, d, k, g)
-                        compare((g, n, d, k), involution(involution(t)), t)
-    elif check == "theorem1":
-        for g in _genus_range(bounds):
-            for n in range(1, bounds.max_rank + 1):
-                for d in _degree_range(bounds):
-                    for k in range(1, bounds.max_level + 1):
-                        query = VerlindeQuery(g, n, d, k)
-                        try:
-                            s = sl_dim(query, max_precision_bits=max_precision_bits).value
-                            v = gl_dim(query, max_precision_bits=max_precision_bits).value
-                        except UnsupportedQuery:
-                            skipped += 1
-                            continue
-                        lhs = s * (k * n * n // query.h) ** g
-                        compare((g, n, d, k), lhs, v * n ** (2 * g))
-    elif check == "duality":
-        for g in _genus_range(bounds):
-            for n in range(1, bounds.max_rank + 1):
-                for d in _degree_range(bounds):
-                    for k in range(1, bounds.max_level + 1):
-                        t = InvolutionTriple(n, d, k, g)
-                        partner = involution(t)
-                        try:
-                            s = sl_dim(
-                                VerlindeQuery(g, n, d, k),
-                                max_precision_bits=max_precision_bits,
-                            ).value
-                            v = gl_dim(
-                                VerlindeQuery(g, partner.rank, partner.degree, partner.level),
-                                max_precision_bits=max_precision_bits,
-                            ).value
-                        except UnsupportedQuery:
-                            skipped += 1
-                            continue
-                        compare((g, n, d, k), s, v)
-    elif check == "bott-szenes":
-        # The identity needs genus >= 2; lower genera are outside its range.
-        for g in _genus_range(bounds, minimum=2):
-            for n in range(1, bounds.max_rank + 1):
-                for k in range(1, bounds.max_level + 1):
-                    try:
-                        lhs = beauville_sum(g, n, k, max_precision_bits=max_precision_bits).value
-                        rhs = beauville_sum(g, k, n, max_precision_bits=max_precision_bits).value
-                    except UnsupportedQuery:  # a sum beyond the term bound
-                        skipped += 1
-                        continue
-                    compare((g, n, 0, k), lhs * k**g, rhs * n**g)
-    else:  # elliptic: trig engine against the genus-1 closed form
-        for n in range(1, bounds.max_rank + 1):
-            for k in range(1, bounds.max_level + 1):
-                try:
-                    lhs = beauville_sum(1, n, k, max_precision_bits=max_precision_bits).value
-                except UnsupportedQuery:  # a sum beyond the term bound
-                    skipped += 1
-                    continue
-                compare((1, n, 0, k), lhs, symmetric_power_dim(n, k))
-
-    name = check + (" [negative-control]" if negative_control else "")
+    name, note = check, _note(check)
     if negative_control:
+        name += " [negative-control]"
         note = (note + "; " if note else "") + "right-hand sides deliberately perturbed"
-    failures.sort(key=lambda f: f.inputs)
     return CheckReport(name, instances, tuple(failures), skipped, note)
 
 

@@ -8,8 +8,10 @@ dimensions survive the trip through JSON.
 
 Exit codes: 0 success, 1 check failure, 2 unsupported input (including a
 trigonometric sum of more than `verlinde.MAX_SUM_TERMS` reduced terms,
-which is rejected before any work), 3 certification failure, 64 usage
-error (including a `--max-precision-bits` below 1).
+which is rejected before any work, and a check whose bounds leave no
+instance to run, reported as EMPTY), 3 certification failure, 64 usage
+error (including a `--max-precision-bits` below 1 and `factor` ranks
+below 1).
 """
 
 from __future__ import annotations
@@ -133,7 +135,8 @@ def build_parser() -> argparse.ArgumentParser:
     check.add_argument("name", choices=CHECK_NAMES)
     check.add_argument("--max-rank", type=int, default=3)
     check.add_argument("--max-level", type=int, default=3)
-    check.add_argument("--genus-range", type=_genus_range, default=(1, 3), metavar="A..B")
+    check.add_argument("--genus-range", type=_genus_range, default=(1, 3), metavar="A..B",
+                       help="elliptic always runs at genus 1; bott-szenes starts at genus 2")
     check.add_argument("--max-abs-degree", type=int, default=3)
     check.add_argument("--format", choices=("text", "json"), default="text")
     check.add_argument(
@@ -233,7 +236,9 @@ def _cmd_check(args) -> int:
         print(json.dumps(report.to_json_dict()))
     else:
         print(_render_report_text(report))
-    return EXIT_OK if report.passed else EXIT_CHECK_FAILED
+    if report.failures:
+        return EXIT_CHECK_FAILED
+    return EXIT_OK if report.passed else EXIT_UNSUPPORTED
 
 
 def _cmd_table(args) -> int:
@@ -290,6 +295,14 @@ def _require(args, names: list[str]) -> bool:
 
 
 def _cmd_factor(args) -> int:
+    try:
+        return _factor(args)
+    except ValueError as exc:  # a rank below 1, rejected by the theta layer
+        print(f"thetadim factor {args.subject}: error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+
+
+def _factor(args) -> int:
     if args.subject == "pullback":
         if not _require(args, ["n1", "d1", "n2", "rkF"]):
             return EXIT_USAGE

@@ -93,9 +93,6 @@ class CertifiedInterval:
     def width(self) -> Fraction:
         return self.hi - self.lo
 
-    def contains(self, value) -> bool:
-        return self.lo <= value <= self.hi
-
     def intersect(self, other: "CertifiedInterval") -> "CertifiedInterval":
         """Intersection of two enclosures of the same quantity."""
         lo = max(self.lo, other.lo)

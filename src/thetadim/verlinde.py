@@ -251,22 +251,3 @@ def gl_dim(
         )
     return DimResult(value, METHOD_TRANSFER, s.certified)
 
-
-def jacobian_theta_dim(g: int, m: int) -> int:
-    """h^0 of the m-th power of a principal theta bundle on a g-dim Jacobian: m^g."""
-    if g < 1:
-        raise ValueError("genus must be >= 1")
-    if m < 1:
-        raise ValueError("theta power must be >= 1")
-    return m**g
-
-
-def elliptic_h0(e: int) -> int:
-    """h^0 of a degree-e line bundle on a genus-1 curve, for e >= 1.
-
-    Nonpositive degrees are rejected: there h^0 depends on more than the
-    degree (1 for the trivial bundle at e = 0, else 0).
-    """
-    if e < 1:
-        raise ValueError("degree must be >= 1")
-    return e

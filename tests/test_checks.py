@@ -1,18 +1,15 @@
-"""Identity-lab tests: involution, ledger, duality, deck group, sweeps."""
-
-import math
+"""Identity-lab tests: involution, ledger, duality, sweeps."""
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from thetadim.checks import (
+    CHECK_NAMES,
     CheckReport,
-    DeckGroupInfo,
     GridBounds,
     InvolutionTriple,
     bott_szenes_check,
-    deck_group,
     duality_dim_check,
     grid_sweep,
     involution,
@@ -102,27 +99,6 @@ class TestBottSzenes:
             bott_szenes_check(2, 2, 1)
 
 
-class TestDeckGroup:
-    def test_worked_examples(self):
-        assert deck_group(2, 2).order == 16
-        assert deck_group(3, 1).order == 9
-        for g in (1, 2, 3):
-            assert deck_group(1, g).order == 1
-
-    def test_structural_power(self):
-        for n in range(1, 6):
-            for g in range(1, 5):
-                info = deck_group(n, g)
-                assert info.order == math.prod([n * n] * g)
-                assert info.character_count == info.order
-
-    def test_mismatched_counts_rejected(self):
-        with pytest.raises(ValueError):
-            DeckGroupInfo(rank=2, genus=2, order=16, character_count=8)
-        with pytest.raises(ValueError):
-            DeckGroupInfo(rank=2, genus=2, order=8, character_count=8)
-
-
 class TestGridSweep:
     def test_involution_grid(self):
         bounds = GridBounds(4, 4, 1, 3, 4)
@@ -168,18 +144,23 @@ class TestGridSweep:
         assert report.instances_run > 0 and report.skipped_unsupported > 0
 
     def test_empty_bounds(self):
+        # a sweep that ran nothing is not evidence for the identity
         report = grid_sweep("involution", GridBounds(0, 0, 1, 0, 0))
-        assert report.instances_run == 0 and report.passed
+        assert report.instances_run == 0 and not report.passed
+        assert report.status == "empty"
 
     def test_unknown_check_rejected(self):
         with pytest.raises(ValueError):
             grid_sweep("nonsense", GridBounds(1, 1, 1, 1, 0))
 
     def test_negative_control_fails(self):
-        report = grid_sweep("involution", GridBounds(2, 2, 1, 2, 1), negative_control=True)
-        assert not report.passed
-        assert report.check_name.endswith("[negative-control]")
-        assert len(report.failures) == report.instances_run
+        # every check, so the single perturbation site is guarded for all
+        for name in CHECK_NAMES:
+            report = grid_sweep(name, GridBounds(2, 2, 1, 2, 1), negative_control=True)
+            assert report.instances_run > 0, name
+            assert not report.passed, name
+            assert report.check_name == f"{name} [negative-control]"
+            assert len(report.failures) == report.instances_run, name
 
     def test_failures_sorted_by_input(self):
         report = grid_sweep("elliptic", GridBounds(3, 3, 1, 1, 0), negative_control=True)

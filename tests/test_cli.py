@@ -1,5 +1,6 @@
 """CLI tests: output formats, exit codes, JSON round-trips."""
 
+import contextlib
 import json
 import os
 import subprocess
@@ -8,7 +9,10 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from thetadim.checks import CHECK_NAMES
 from thetadim.cli import (
     EXIT_CERTIFICATION,
     EXIT_CHECK_FAILED,
@@ -141,6 +145,13 @@ class TestCheck:
         assert code == EXIT_CHECK_FAILED
         assert "FAIL" in out
 
+    @pytest.mark.parametrize("name, genera", [("theorem1", "3..1"), ("bott-szenes", "1..1")])
+    def test_empty_sweep_is_not_a_pass(self, capsys, name, genera):
+        code, out, _ = run_cli(capsys, "check", name, "--genus-range", genera)
+        assert code == EXIT_UNSUPPORTED
+        assert out.startswith(f"check {name}: 0 instances")
+        assert out.endswith("EMPTY\n")
+
     def test_bad_genus_range(self, capsys):
         code, _, _ = run_cli(capsys, "check", "involution", "--genus-range", "nope")
         assert code == EXIT_USAGE
@@ -250,6 +261,20 @@ class TestFactor:
         assert code == EXIT_UNSUPPORTED
         assert "precondition violated" in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["pullback", "--n1", "0", "--d1", "0", "--n2", "3", "--rkF", "1"],
+            ["rescale", "--rkF", "0", "--rkF0", "1"],
+        ],
+        ids=["pullback", "rescale"],
+    )
+    def test_rank_below_one_is_usage_error(self, capsys, argv):
+        code, out, err = run_cli(capsys, "factor", *argv)
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err.startswith(f"thetadim factor {argv[0]}: error: ")
+
     def test_missing_flags_usage_error(self, capsys):
         code, _, err = run_cli(capsys, "factor", "pullback", "--n1", "2")
         assert code == EXIT_USAGE
@@ -284,3 +309,51 @@ class TestUsage:
                        "--max-precision-bits", "8")[0] == EXIT_CERTIFICATION
         # 64: usage error
         assert run_cli(capsys, "dim", "sl")[0] == EXIT_USAGE
+
+
+def _flag(name, values):
+    return values.map(lambda v: [name, str(v)])
+
+
+def _optional(name, values):
+    return st.one_of(st.just([]), _flag(name, values))
+
+
+def _argv(*parts):
+    return st.tuples(*parts).map(lambda lists: [item for part in lists for item in part])
+
+
+# Required flags are always drawn (missing ones have their own tests), so
+# every example reaches a handler; factor gets every subject's flags.
+_small = st.integers(-2, 4)
+_degree = st.integers(-6, 6)
+_bound = st.integers(-2, 3)
+_bits = _optional("--max-precision-bits", st.integers(-1, 96))
+_fuzz_argv = st.one_of(
+    _argv(st.just(["dim"]), st.sampled_from([["sl"], ["gl"]]), _flag("--genus", _small),
+          _flag("--rank", _small), _flag("--degree", _degree), _flag("--level", _small), _bits),
+    _argv(st.just(["check"]), st.sampled_from([[name] for name in CHECK_NAMES]),
+          _optional("--max-rank", _bound), _optional("--max-level", _bound),
+          _optional("--max-abs-degree", _bound),
+          _optional("--genus-range", st.tuples(_bound, _bound).map(lambda r: f"{r[0]}..{r[1]}")),
+          st.sampled_from([[], ["--negative-control"]]), _bits),
+    _argv(st.just(["table"]), _flag("--genus", _small), _optional("--max-rank", _small),
+          _optional("--max-level", _small), _bits),
+    _argv(st.just(["factor"]), st.sampled_from([["pullback"], ["rescale"], ["jacobian"]]),
+          _flag("--n1", _small), _flag("--d1", _degree), _flag("--n2", _small),
+          _flag("--rkF", _small), _flag("--rkF0", _small), _flag("--genus", _small),
+          _flag("--rank", _small), _flag("--degree", _degree)),
+)
+
+
+class TestFuzz:
+    @given(argv=_fuzz_argv)
+    @settings(max_examples=300, deadline=None)
+    def test_every_argv_ends_in_a_documented_exit_code(self, argv):
+        # capsys cannot be reset between hypothesis examples; argparse and the
+        # handlers only print, so their output is simply discarded.
+        with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink), \
+                contextlib.redirect_stderr(sink):
+            code = main(argv)
+        assert code in {EXIT_OK, EXIT_CHECK_FAILED, EXIT_UNSUPPORTED, EXIT_CERTIFICATION,
+                        EXIT_USAGE}

@@ -36,8 +36,8 @@ class TestCertifiedInterval:
     def test_width_and_contains(self):
         iv = CertifiedInterval(Fraction(1, 3), Fraction(2, 3), 64)
         assert iv.width == Fraction(1, 3)
-        assert iv.contains(Fraction(1, 2))
-        assert not iv.contains(1)
+        assert iv.lo <= Fraction(1, 2) <= iv.hi
+        assert not iv.lo <= 1 <= iv.hi
 
     def test_intersect_disjoint_rejected(self):
         a = CertifiedInterval(Fraction(0), Fraction(1), 64)
@@ -70,7 +70,7 @@ class TestSinEnclosure:
 
     def test_pi_sixth_tight_around_one(self):
         iv = sin_enclosure(1, 6, 64)
-        assert iv.contains(1)
+        assert iv.lo <= 1 <= iv.hi
         assert iv.width <= Fraction(1, 2**63)
 
     def test_pi_fifth_matches_oracle(self):

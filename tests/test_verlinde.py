@@ -14,9 +14,7 @@ from thetadim.verlinde import (
     UnsupportedQuery,
     VerlindeQuery,
     beauville_sum,
-    elliptic_h0,
     gl_dim,
-    jacobian_theta_dim,
     sl_dim,
     symmetric_power_dim,
     verlinde_sum_terms,
@@ -149,7 +147,7 @@ class TestGlDim:
         for g in range(1, 5):
             for d in (-3, 0, 5):
                 for k in range(1, 5):
-                    assert gl_dim(VerlindeQuery(g, 1, d, k)).value == jacobian_theta_dim(g, k)
+                    assert gl_dim(VerlindeQuery(g, 1, d, k)).value == k**g
 
     def test_no_integrality_violation_on_grid(self):
         for g in range(1, 5):
@@ -164,18 +162,6 @@ class TestGlDim:
 
 
 class TestClosedForms:
-    def test_jacobian_theta_dim(self):
-        assert jacobian_theta_dim(2, 3) == 9
-        assert jacobian_theta_dim(3, 2) == 8
-        for g in range(1, 6):
-            assert jacobian_theta_dim(g, 1) == 1
-
-    def test_jacobian_theta_dim_rejects_bad_power(self):
-        with pytest.raises(ValueError):
-            jacobian_theta_dim(2, 0)
-        with pytest.raises(ValueError):
-            jacobian_theta_dim(0, 2)
-
     def test_symmetric_power_dim(self):
         assert symmetric_power_dim(2, 3) == 4
         assert symmetric_power_dim(1, 5) == 1
@@ -189,12 +175,3 @@ class TestClosedForms:
             assert symmetric_power_dim(m, 1) == m
         for k in range(1, 21):
             assert symmetric_power_dim(1, k) == 1
-
-    def test_elliptic_h0(self):
-        assert elliptic_h0(1) == 1
-        assert elliptic_h0(2) == 2
-        assert elliptic_h0(17) == 17
-        with pytest.raises(ValueError):
-            elliptic_h0(0)
-        with pytest.raises(ValueError):
-            elliptic_h0(-3)
