@@ -30,7 +30,6 @@ from .intervals import (
     SineProductTerm,
     certify_integer,
     evaluate_sum,
-    pi_enclosure,
     sin_enclosure,
 )
 from .theta import (
@@ -93,7 +92,6 @@ __all__ = [
     "grid_sweep",
     "involution",
     "jacobian_pullback",
-    "pi_enclosure",
     "pullback_split",
     "reduced_sum_terms",
     "sin_enclosure",

@@ -32,6 +32,7 @@ import math
 from dataclasses import dataclass
 
 from .intervals import DEFAULT_MAX_PRECISION_BITS
+from .theta import complementary_invariants
 from .verlinde import (
     UnsupportedQuery,
     VerlindeQuery,
@@ -67,14 +68,6 @@ class InvolutionTriple:
     @property
     def h(self) -> int:
         return math.gcd(self.rank, self.degree)
-
-    @property
-    def n_bar(self) -> int:
-        return self.rank // self.h
-
-    @property
-    def d_bar(self) -> int:
-        return self.degree // self.h
 
 
 @dataclass(frozen=True)
@@ -141,15 +134,13 @@ class GridBounds:
 def involution(t: InvolutionTriple) -> InvolutionTriple:
     """The partner triple (k*nbar, k*(nbar*(g-1) - dbar), h) at the same genus.
 
-    Self-inverse: applying it twice returns the original triple.  The
-    degree-0 convention gcd(n, 0) = n is used throughout.
+    Its rank and degree are the k-th complementary invariants of (g, n, d),
+    and its level is h = gcd(n, d).  Self-inverse: applying it twice
+    returns the original triple.  The degree-0 convention gcd(n, 0) = n is
+    used throughout.
     """
-    return InvolutionTriple(
-        rank=t.level * t.n_bar,
-        degree=t.level * (t.n_bar * (t.genus - 1) - t.d_bar),
-        level=t.h,
-        genus=t.genus,
-    )
+    rank, degree = complementary_invariants(t.genus, t.rank, t.degree, t.level)
+    return InvolutionTriple(rank=rank, degree=degree, level=t.h, genus=t.genus)
 
 
 # The two sides of each identity at one instance (g, n, d, k); each raises

@@ -20,7 +20,6 @@ import argparse
 import csv
 import json
 import sys
-from dataclasses import dataclass
 
 from .checks import CHECK_NAMES, CheckReport, GridBounds, grid_sweep
 from .intervals import DEFAULT_MAX_PRECISION_BITS, CertificationError
@@ -42,48 +41,6 @@ EXIT_CHECK_FAILED = 1
 EXIT_UNSUPPORTED = 2
 EXIT_CERTIFICATION = 3
 EXIT_USAGE = 64
-
-
-@dataclass(frozen=True)
-class OutputRecord:
-    """Machine-readable echo of one dimension query and its result."""
-
-    kind: str
-    genus: int
-    rank: int
-    degree: int
-    level: int
-    value: str
-    method: str
-    certified: bool
-
-    def to_dict(self) -> dict:
-        return {
-            "query": {
-                "genus": self.genus,
-                "rank": self.rank,
-                "degree": self.degree,
-                "level": self.level,
-                "kind": self.kind,
-            },
-            "value": self.value,
-            "method": self.method,
-            "certified": self.certified,
-        }
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "OutputRecord":
-        query = payload["query"]
-        return cls(
-            kind=query["kind"],
-            genus=query["genus"],
-            rank=query["rank"],
-            degree=query["degree"],
-            level=query["level"],
-            value=payload["value"],
-            method=payload["method"],
-            certified=payload["certified"],
-        )
 
 
 class _Parser(argparse.ArgumentParser):
@@ -118,20 +75,21 @@ def _precision_bits(text: str) -> int:
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="thetadim", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
+    precision = argparse.ArgumentParser(add_help=False)
+    precision.add_argument(
+        "--max-precision-bits", type=_precision_bits, default=DEFAULT_MAX_PRECISION_BITS
+    )
 
-    dim = sub.add_parser("dim", parents=[], help="one dimension value")
+    dim = sub.add_parser("dim", parents=[precision], help="one dimension value")
     dim.add_argument("kind", choices=("sl", "gl"))
     dim.add_argument("--genus", "-g", type=int, required=True)
     dim.add_argument("--rank", "-n", type=int, required=True)
     dim.add_argument("--degree", "-d", type=int, required=True)
     dim.add_argument("--level", "-k", type=int, required=True)
     dim.add_argument("--format", choices=("text", "json"), default="text")
-    dim.add_argument(
-        "--max-precision-bits", type=_precision_bits, default=DEFAULT_MAX_PRECISION_BITS
-    )
     dim.set_defaults(handler=_cmd_dim)
 
-    check = sub.add_parser("check", help="sweep one identity over a grid")
+    check = sub.add_parser("check", parents=[precision], help="sweep one identity over a grid")
     check.add_argument("name", choices=CHECK_NAMES)
     check.add_argument("--max-rank", type=int, default=3)
     check.add_argument("--max-level", type=int, default=3)
@@ -140,23 +98,19 @@ def build_parser() -> argparse.ArgumentParser:
     check.add_argument("--max-abs-degree", type=int, default=3)
     check.add_argument("--format", choices=("text", "json"), default="text")
     check.add_argument(
-        "--max-precision-bits", type=_precision_bits, default=DEFAULT_MAX_PRECISION_BITS
-    )
-    check.add_argument(
         "--negative-control",
         action="store_true",
         help="perturb one side of every comparison; failures are then expected",
     )
     check.set_defaults(handler=_cmd_check)
 
-    table = sub.add_parser("table", help="matrix of s(n, 0, k) at fixed genus")
+    table = sub.add_parser(
+        "table", parents=[precision], help="matrix of s(n, 0, k) at fixed genus"
+    )
     table.add_argument("--genus", "-g", type=int, required=True)
     table.add_argument("--max-rank", type=int, default=4)
     table.add_argument("--max-level", type=int, default=4)
     table.add_argument("--format", choices=("csv", "json", "md"), default="csv")
-    table.add_argument(
-        "--max-precision-bits", type=_precision_bits, default=DEFAULT_MAX_PRECISION_BITS
-    )
     table.set_defaults(handler=_cmd_table)
 
     factor = sub.add_parser("factor", help="symbolic theta-bundle factorizations")
@@ -182,20 +136,22 @@ def _cmd_dim(args) -> int:
         return EXIT_USAGE
     compute = sl_dim if args.kind == "sl" else gl_dim
     result = compute(query, max_precision_bits=args.max_precision_bits)
-    record = OutputRecord(
-        kind=args.kind,
-        genus=args.genus,
-        rank=args.rank,
-        degree=args.degree,
-        level=args.level,
-        value=str(result.value),
-        method=result.method,
-        certified=result.certified,
-    )
     if args.format == "json":
-        print(json.dumps(record.to_dict()))
+        record = {
+            "query": {
+                "genus": args.genus,
+                "rank": args.rank,
+                "degree": args.degree,
+                "level": args.level,
+                "kind": args.kind,
+            },
+            "value": str(result.value),
+            "method": result.method,
+            "certified": result.certified,
+        }
+        print(json.dumps(record))
     else:
-        print(record.value)
+        print(result.value)
     return EXIT_OK
 
 
@@ -337,6 +293,9 @@ def _factor(args) -> int:
 
 
 def main(argv=None) -> int:
+    # Dimensions are printed in full, however many digits they have.
+    if hasattr(sys, "set_int_max_str_digits"):
+        sys.set_int_max_str_digits(0)
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

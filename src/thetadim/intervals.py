@@ -74,9 +74,9 @@ class CertifiedInterval:
     """Rational enclosure [lo, hi] of a real quantity.
 
     `precision_bits` records the working precision that produced the bounds.
-    Re-enclosing the same quantity at doubled precision always yields an
-    interval contained in the old one (the constructors below intersect with
-    the coarser enclosure), so refinement never widens.
+    `sin_enclosure` is the one constructor that nests: re-enclosing a sine
+    at doubled precision intersects with the coarser enclosure, so its
+    refinement never widens.
     """
 
     lo: Fraction
@@ -132,7 +132,6 @@ class SineProductTerm:
 # pi: Machin's formula  pi = 16 arctan(1/5) - 4 arctan(1/239)
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=None)
 def _arctan_inv_scaled(x: int, work_bits: int) -> tuple[int, int]:
     """Integer bounds with arctan(1/x) in [lo, hi] / 2**work_bits.
 
@@ -168,38 +167,24 @@ def _pi_scaled(work_bits: int) -> tuple[int, int]:
     return 16 * a5_lo - 4 * a239_hi, 16 * a5_hi - 4 * a239_lo
 
 
-@lru_cache(maxsize=None)
-def pi_enclosure(precision_bits: int) -> CertifiedInterval:
-    """Certified rational enclosure of pi, width <= 2**(1 - precision_bits)."""
-    if precision_bits < 1:
-        raise ValueError("precision_bits must be positive")
-    work = precision_bits + _GUARD_BITS
-    lo, hi = _pi_scaled(work)
-    iv = CertifiedInterval(Fraction(lo, 1 << work), Fraction(hi, 1 << work), precision_bits)
-    if precision_bits > _START_BITS:
-        # Nesting by construction: refining never widens.
-        iv = iv.intersect(pi_enclosure(precision_bits // 2))
-    return iv
-
-
 # ---------------------------------------------------------------------------
 # sin: alternating Taylor series in fixed point
 # ---------------------------------------------------------------------------
 
-def _sin_series_scaled(t: Fraction, work_bits: int) -> tuple[int, int]:
-    """Integer bounds on sin(t) * 2**work_bits for rational 0 <= t <= 2.
+def _sin_series_scaled(num: int, den: int, work_bits: int) -> tuple[int, int]:
+    """Integer bounds on sin(t) * 2**work_bits for t = num / (den * 2**work_bits).
 
-    For t <= 2 the Taylor terms t^(2k+1)/(2k+1)! decrease strictly (the term
-    ratio is t^2/((2k+2)(2k+3)) <= 4/6), so the series alternates with a
-    tail bounded by the first omitted term.  Terms are propagated by the
-    recurrence T_{k+1} = T_k * t^2 / ((2k+2)(2k+3)) with floor/ceil rounding.
+    num / den is the angle at the working scale, and 0 <= t <= 2 is
+    required.  For t <= 2 the Taylor terms t^(2k+1)/(2k+1)! decrease
+    strictly (the term ratio is t^2/((2k+2)(2k+3)) <= 4/6), so the series
+    alternates with a tail bounded by the first omitted term.  Terms are
+    propagated by the recurrence T_{k+1} = T_k * t^2 / ((2k+2)(2k+3)) with
+    floor/ceil rounding.
     """
-    if not 0 <= t <= 2:
+    if den < 1 or not 0 <= num <= den << (work_bits + 1):
         raise ValueError("series argument must lie in [0, 2]")
-    num, den = t.numerator, t.denominator
-    shifted = num << work_bits
-    x_lo = shifted // den
-    x_hi = x_lo if shifted % den == 0 else x_lo + 1
+    x_lo, rest = divmod(num, den)
+    x_hi = x_lo if rest == 0 else x_lo + 1
     y_lo = (x_lo * x_lo) >> work_bits          # floor of t^2 at scale
     y_hi = -((-(x_hi * x_hi)) >> work_bits)    # ceil of t^2 at scale
     term_lo, term_hi = x_lo, x_hi
@@ -249,10 +234,8 @@ def sin_enclosure(m: int, modulus: int, precision_bits: int) -> CertifiedInterva
     # modulus this only fails for moduli beyond ~2**(work - 2).
     if 2 * folded * pi_hi > modulus * pi_lo:
         raise ValueError("modulus too large for this working precision")
-    angle_lo = Fraction(pi_lo * folded, modulus * scale)
-    angle_hi = Fraction(pi_hi * folded, modulus * scale)
-    sin_lo, _ = _sin_series_scaled(angle_lo, work)
-    _, sin_hi = _sin_series_scaled(angle_hi, work)
+    sin_lo, _ = _sin_series_scaled(pi_lo * folded, modulus, work)
+    _, sin_hi = _sin_series_scaled(pi_hi * folded, modulus, work)
     iv = CertifiedInterval(Fraction(2 * sin_lo, scale), Fraction(2 * sin_hi, scale), precision_bits)
     if precision_bits > _START_BITS:
         iv = iv.intersect(sin_enclosure(m, modulus, precision_bits // 2))
@@ -321,10 +304,9 @@ def _first_rung(
     prepared: Sequence[tuple[Fraction, SineProductTerm]],
     scale: Fraction,
     target: Fraction,
-    start_bits: int,
     max_bits: int,
 ) -> int:
-    """The first rung of the ladder start_bits * 2**j (capped at max_bits)
+    """The first rung of the ladder 64 * 2**j (capped at max_bits)
     whose working scale is expected to meet the width target.
 
     At scale 2**-w a term's error is about 2**-w times its rounding count,
@@ -357,7 +339,7 @@ def _first_rung(
         top = max(bounds)
         error_log2 = top + math.log2(sum(2.0 ** (b - top) for b in bounds))
         needed = error_log2 + _log2_abs(scale) - _log2_abs(target) + _MARGIN_BITS - _GUARD_BITS
-    precision = min(start_bits, max_bits)
+    precision = min(_START_BITS, max_bits)
     while precision < needed and precision < max_bits:
         precision = min(2 * precision, max_bits)
     return precision
@@ -395,12 +377,11 @@ def evaluate_sum(
     scale: Fraction,
     target_width: Fraction,
     *,
-    start_bits: int = _START_BITS,
     max_bits: int = DEFAULT_MAX_PRECISION_BITS,
 ) -> CertifiedInterval:
     """Enclose  scale * sum(coeff * value(term))  to within target_width.
 
-    The first precision is the rung of the ladder start_bits * 2**j that an
+    The first precision is the rung of the ladder 64 * 2**j that an
     a priori estimate expects to meet the target (see `_first_rung`); the
     precision doubles from there only if it does not, and exceeding
     `max_bits` raises CertificationError.  The result's `precision_bits` is
@@ -411,11 +392,11 @@ def evaluate_sum(
     target = Fraction(target_width)
     if target <= 0:
         raise ValueError("target_width must be positive")
-    if start_bits < 1 or max_bits < 1:
-        raise ValueError("precision bounds must be positive")
+    if max_bits < 1:
+        raise ValueError("max_bits must be positive")
     prepared = [(Fraction(coeff), term) for coeff, term in terms]
 
-    precision = _first_rung(prepared, scale, target, start_bits, max_bits)
+    precision = _first_rung(prepared, scale, target, max_bits)
     while True:
         lo, hi, work = _sum_scaled(prepared, scale, precision)
         width = Fraction(hi - lo, 1 << work)

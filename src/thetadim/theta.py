@@ -187,9 +187,9 @@ def complementary_invariants(g: int, n: int, d: int, k: int) -> tuple[int, int]:
     if g < 1 or n < 1 or k < 1:
         raise ValueError("genus, rank and multiplier must all be >= 1")
     h = math.gcd(n, d)
-    n_bar, d_bar = n // h, d // h
-    rank = k * n_bar
-    degree = k * (n_bar * (g - 1) - d_bar)
+    nbar, dbar = n // h, d // h
+    rank = k * nbar
+    degree = k * (nbar * (g - 1) - dbar)
     assert n * degree + rank * (d - n * (g - 1)) == 0
     return rank, degree
 

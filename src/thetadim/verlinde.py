@@ -69,14 +69,6 @@ class VerlindeQuery:
         """gcd(rank, degree), with the conventions gcd(n, 0) = n and gcd(n, d) = gcd(n, |d|)."""
         return math.gcd(self.rank, self.degree)
 
-    @property
-    def n_bar(self) -> int:
-        return self.rank // self.h
-
-    @property
-    def d_bar(self) -> int:
-        return self.degree // self.h
-
 
 @dataclass(frozen=True)
 class DimResult:

@@ -18,7 +18,6 @@ import pytest
 from thetadim.checks import InvolutionTriple, duality_dim_check, involution, theorem1_ledger
 from thetadim.cli import main
 from thetadim.intervals import (
-    _START_BITS,
     DEFAULT_MAX_PRECISION_BITS,
     NoIntegerInInterval,
     SineProductTerm,
@@ -206,8 +205,7 @@ def _certify_at_first_rung(terms, scale):
     target = Fraction(1, 4)
     enclosure = evaluate_sum(terms, scale, target)
     first = _first_rung(
-        [(Fraction(c), t) for c, t in terms], Fraction(scale), target,
-        _START_BITS, DEFAULT_MAX_PRECISION_BITS,
+        [(Fraction(c), t) for c, t in terms], Fraction(scale), target, DEFAULT_MAX_PRECISION_BITS
     )
     assert enclosure.precision_bits == first
     return certify_integer(enclosure), first

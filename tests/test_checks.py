@@ -43,8 +43,9 @@ class TestInvolution:
         partner = involution(t)
         assert partner.genus == t.genus
         assert partner.h == t.level
-        assert partner.n_bar == t.n_bar
-        assert partner.d_bar == t.n_bar * (t.genus - 1) - t.d_bar
+        n_bar, d_bar = t.rank // t.h, t.degree // t.h
+        assert partner.rank // partner.h == n_bar
+        assert partner.degree // partner.h == n_bar * (t.genus - 1) - d_bar
 
 
 class TestTheorem1Ledger:

