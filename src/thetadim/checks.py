@@ -29,7 +29,8 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from collections import namedtuple
+from decimal import Decimal
 
 from .intervals import DEFAULT_MAX_PRECISION_BITS
 from .theta import complementary_invariants
@@ -48,47 +49,41 @@ _DUALITY_NOTE = (
 )
 
 
-@dataclass(frozen=True)
-class InvolutionTriple:
+class InvolutionTriple(namedtuple("InvolutionTriple", "rank degree level genus")):
     """A (rank, degree, level) triple at a fixed genus."""
 
-    rank: int
-    degree: int
-    level: int
-    genus: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.rank < 1:
+    def __new__(cls, rank: int, degree: int, level: int, genus: int):
+        if rank < 1:
             raise ValueError("rank must be >= 1")
-        if self.level < 1:
+        if level < 1:
             raise ValueError("level must be >= 1")
-        if self.genus < 1:
+        if genus < 1:
             raise ValueError("genus must be >= 1")
+        return super().__new__(cls, rank, degree, level, genus)
 
     @property
     def h(self) -> int:
         return math.gcd(self.rank, self.degree)
 
 
-@dataclass(frozen=True)
-class CheckFailure:
-    inputs: tuple
-    lhs: str
-    rhs: str
+CheckFailure = namedtuple("CheckFailure", "inputs lhs rhs")
 
 
-@dataclass(frozen=True)
-class CheckReport:
+class CheckReport(
+    namedtuple(
+        "CheckReport",
+        "check_name instances_run failures skipped_unsupported note",
+        defaults=((), 0, ""),
+    )
+):
     """Outcome of one identity check or of a whole grid sweep.
 
     A report that ran no instance has not passed: its status is "empty".
     """
 
-    check_name: str
-    instances_run: int
-    failures: tuple[CheckFailure, ...] = ()
-    skipped_unsupported: int = 0
-    note: str = ""
+    __slots__ = ()
 
     @property
     def passed(self) -> bool:
@@ -114,21 +109,19 @@ class CheckReport:
         return payload
 
 
-@dataclass(frozen=True)
-class GridBounds:
+class GridBounds(
+    namedtuple("GridBounds", "max_rank max_level genus_min genus_max max_abs_degree")
+):
     """Finite sweep bounds; an empty range is allowed and sweeps to nothing."""
 
-    max_rank: int
-    max_level: int
-    genus_min: int
-    genus_max: int
-    max_abs_degree: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.max_rank < 0 or self.max_level < 0 or self.max_abs_degree < 0:
+    def __new__(cls, max_rank, max_level, genus_min, genus_max, max_abs_degree):
+        if max_rank < 0 or max_level < 0 or max_abs_degree < 0:
             raise ValueError("bounds must be nonnegative")
-        if self.genus_min < 1:
+        if genus_min < 1:
             raise ValueError("genus_min must be >= 1")
+        return super().__new__(cls, max_rank, max_level, genus_min, genus_max, max_abs_degree)
 
 
 def involution(t: InvolutionTriple) -> InvolutionTriple:
@@ -212,7 +205,13 @@ def _compare(check: str, inputs: tuple, bits: int, negative_control: bool = Fals
     lhs, rhs = _CHECKS[check][0](*inputs, bits)
     if negative_control:
         rhs = _perturb(rhs)
-    return None if lhs == rhs else CheckFailure(inputs, str(lhs), str(rhs))
+    return None if lhs == rhs else CheckFailure(inputs, _text(lhs), _text(rhs))
+
+
+def _text(side) -> str:
+    """str(side); an int is written through Decimal, which, unlike str, has
+    no digit limit, so a library caller never needs to lift that limit."""
+    return str(Decimal(side)) if isinstance(side, int) else str(side)
 
 
 def _note(check: str) -> str:

@@ -17,8 +17,6 @@ below 1).
 from __future__ import annotations
 
 import argparse
-import csv
-import json
 import sys
 
 from .checks import CHECK_NAMES, CheckReport, GridBounds, grid_sweep
@@ -137,6 +135,7 @@ def _cmd_dim(args) -> int:
     compute = sl_dim if args.kind == "sl" else gl_dim
     result = compute(query, max_precision_bits=args.max_precision_bits)
     if args.format == "json":
+        import json
         record = {
             "query": {
                 "genus": args.genus,
@@ -189,6 +188,7 @@ def _cmd_check(args) -> int:
         negative_control=args.negative_control,
     )
     if args.format == "json":
+        import json
         print(json.dumps(report.to_json_dict()))
     else:
         print(_render_report_text(report))
@@ -216,6 +216,7 @@ def _cmd_table(args) -> int:
 
     header = ["n\\k"] + [str(k) for k in range(1, args.max_level + 1)]
     if args.format == "json":
+        import json
         print(
             json.dumps(
                 {
@@ -232,6 +233,7 @@ def _cmd_table(args) -> int:
         for n, values in rows:
             print("| " + " | ".join([str(n)] + values) + " |")
     else:
+        import csv
         writer = csv.writer(sys.stdout, lineterminator="\n")
         writer.writerow(header)
         for n, values in rows:

@@ -31,10 +31,10 @@ are idempotent write-once tables, so concurrent use is safe.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
+from collections.abc import Iterable, Sequence
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Sequence
 
 _START_BITS = 64
 DEFAULT_MAX_PRECISION_BITS = 16384
@@ -69,8 +69,7 @@ class AmbiguousInterval(Exception):
     """More than one integer candidate (or width >= 1/2); refine and retry."""
 
 
-@dataclass(frozen=True)
-class CertifiedInterval:
+class CertifiedInterval(namedtuple("CertifiedInterval", "lo hi precision_bits")):
     """Rational enclosure [lo, hi] of a real quantity.
 
     `precision_bits` records the working precision that produced the bounds.
@@ -79,15 +78,14 @@ class CertifiedInterval:
     refinement never widens.
     """
 
-    lo: Fraction
-    hi: Fraction
-    precision_bits: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.lo > self.hi:
-            raise ValueError(f"empty interval: lo={self.lo} > hi={self.hi}")
-        if self.precision_bits < 1:
+    def __new__(cls, lo: Fraction, hi: Fraction, precision_bits: int):
+        if lo > hi:
+            raise ValueError(f"empty interval: lo={lo} > hi={hi}")
+        if precision_bits < 1:
             raise ValueError("precision_bits must be positive")
+        return super().__new__(cls, lo, hi, precision_bits)
 
     @property
     def width(self) -> Fraction:
@@ -102,8 +100,7 @@ class CertifiedInterval:
         return CertifiedInterval(lo, hi, max(self.precision_bits, other.precision_bits))
 
 
-@dataclass(frozen=True)
-class SineProductTerm:
+class SineProductTerm(namedtuple("SineProductTerm", "modulus factors")):
     """The product  prod_j |2 sin(pi m_j / M)|^(e_j)  over one modulus M.
 
     Offsets are reduced modulo M into (0, M) at construction; the absolute
@@ -113,19 +110,18 @@ class SineProductTerm:
     An empty factor list represents the value 1.
     """
 
-    modulus: int
-    factors: tuple[tuple[int, int], ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.modulus < 1:
+    def __new__(cls, modulus: int, factors: tuple[tuple[int, int], ...]):
+        if modulus < 1:
             raise ValueError("modulus must be a positive integer")
         reduced = []
-        for m, e in self.factors:
-            r = m % self.modulus
+        for m, e in factors:
+            r = m % modulus
             if r == 0:
-                raise ValueError(f"offset {m} vanishes modulo {self.modulus}")
+                raise ValueError(f"offset {m} vanishes modulo {modulus}")
             reduced.append((r, e))
-        object.__setattr__(self, "factors", tuple(reduced))
+        return super().__new__(cls, modulus, tuple(reduced))
 
 
 # ---------------------------------------------------------------------------

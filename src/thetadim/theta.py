@@ -26,8 +26,8 @@ All values are immutable and all operations pure.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Mapping, Optional
+from collections import namedtuple
+from collections.abc import Mapping
 
 
 class NotAMultiple(Exception):
@@ -54,8 +54,8 @@ class FormalLineClass:
 
     def __init__(
         self,
-        exponents: Optional[Mapping[str, int]] = None,
-        degrees: Optional[Mapping[str, int]] = None,
+        exponents: Mapping[str, int] | None = None,
+        degrees: Mapping[str, int] | None = None,
     ):
         exponents = dict(exponents or {})
         degrees = dict(degrees or {})
@@ -136,42 +136,37 @@ class FormalLineClass:
         return f"FormalLineClass({self.format(explicit_exponents=True)!r})"
 
 
-@dataclass(frozen=True)
-class ThetaDescriptor:
+class ThetaDescriptor(namedtuple("ThetaDescriptor", "rank det")):
     """A theta bundle on a full moduli space: rank and determinant class of
     the twisting bundle, which determine it completely."""
 
-    rank: int
-    det: FormalLineClass
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.rank < 1:
+    def __new__(cls, rank: int, det: FormalLineClass):
+        if rank < 1:
             raise ValueError("rank must be >= 1")
+        return super().__new__(cls, rank, det)
 
 
-@dataclass(frozen=True)
-class PullbackFactorization:
+class PullbackFactorization(namedtuple("PullbackFactorization", "left_exponent right_descriptor")):
     """The split  theta^c  [outer product]  theta_descriptor  of a pullback."""
 
-    left_exponent: int
-    right_descriptor: ThetaDescriptor
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.left_exponent < 1:
+    def __new__(cls, left_exponent: int, right_descriptor: ThetaDescriptor):
+        if left_exponent < 1:
             raise ValueError("left exponent must be >= 1")
+        return super().__new__(cls, left_exponent, right_descriptor)
 
 
-@dataclass(frozen=True)
-class RootEquation:
+class RootEquation(namedtuple("RootEquation", "power rhs root_degree")):
     """Constraint  N^power = rhs  defining an n-th root of degree root_degree.
 
     Root extraction is not unique in a free group, so the equation is
     reported instead of a chosen root.
     """
 
-    power: int
-    rhs: FormalLineClass
-    root_degree: int
+    __slots__ = ()
 
     def __str__(self) -> str:
         return f"N^{self.power} = {self.rhs}"

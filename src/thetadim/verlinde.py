@@ -16,7 +16,7 @@ guessing.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
@@ -47,22 +47,19 @@ class IntegralityViolation(Exception):
     """The transfer identity produced a non-integer: an implementation bug."""
 
 
-@dataclass(frozen=True)
-class VerlindeQuery:
+class VerlindeQuery(namedtuple("VerlindeQuery", "genus rank degree level")):
     """One dimension query: genus, rank, degree, and theta-power level."""
 
-    genus: int
-    rank: int
-    degree: int
-    level: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.genus < 1:
+    def __new__(cls, genus: int, rank: int, degree: int, level: int):
+        if genus < 1:
             raise ValueError("genus must be >= 1")
-        if self.rank < 1:
+        if rank < 1:
             raise ValueError("rank must be >= 1")
-        if self.level < 1:
+        if level < 1:
             raise ValueError("level must be >= 1")
+        return super().__new__(cls, genus, rank, degree, level)
 
     @property
     def h(self) -> int:
@@ -70,8 +67,7 @@ class VerlindeQuery:
         return math.gcd(self.rank, self.degree)
 
 
-@dataclass(frozen=True)
-class DimResult:
+class DimResult(namedtuple("DimResult", "value method certified")):
     """A nonnegative integer dimension plus the method that produced it.
 
     `certified` is True exactly when an interval integrality certificate
@@ -79,13 +75,12 @@ class DimResult:
     transfer); the closed forms are exact by construction and carry False.
     """
 
-    value: int
-    method: str
-    certified: bool
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.value < 0:
+    def __new__(cls, value: int, method: str, certified: bool):
+        if value < 0:
             raise ValueError("dimension must be nonnegative")
+        return super().__new__(cls, value, method, certified)
 
 
 def verlinde_sum_terms(

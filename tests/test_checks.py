@@ -1,5 +1,7 @@
 """Identity-lab tests: involution, ledger, duality, sweeps."""
 
+import sys
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -162,6 +164,27 @@ class TestGridSweep:
             assert not report.passed, name
             assert report.check_name == f"{name} [negative-control]"
             assert len(report.failures) == report.instances_run, name
+
+    def test_negative_control_beyond_int_string_limit(self):
+        # k**2000 has up to 6001 digits, past the default int-to-str limit
+        # that only cli.main lifts; the library must report them under it
+        has_limit = hasattr(sys, "set_int_max_str_digits")
+        if has_limit:
+            previous = sys.get_int_max_str_digits()
+            sys.set_int_max_str_digits(4300)
+        try:
+            report = grid_sweep("theorem1", GridBounds(1, 1000, 2000, 2000, 0),
+                                negative_control=True)
+            if has_limit:
+                assert sys.get_int_max_str_digits() == 4300
+        finally:
+            if has_limit:
+                sys.set_int_max_str_digits(previous)
+        assert report.instances_run == 1000 and len(report.failures) == 1000
+        last = report.failures[-1]
+        assert last.inputs == (2000, 1, 0, 1000)
+        assert last.lhs == "1" + "000" * 2000
+        assert last.rhs == "1" + "000" * 1999 + "001"
 
     def test_failures_sorted_by_input(self):
         report = grid_sweep("elliptic", GridBounds(3, 3, 1, 1, 0), negative_control=True)

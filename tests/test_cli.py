@@ -23,6 +23,17 @@ from thetadim.cli import (
 )
 from thetadim.verlinde import UnsupportedQuery, VerlindeQuery, gl_dim, sl_dim
 
+ROOT = Path(__file__).resolve().parents[1]
+# stdout bytes and exit code of every argv of the benchmark's CLI catalogue
+GOLDEN = ROOT / "perfbench" / "refs" / "cli_golden.json"
+
+
+def _env_with_src():
+    src = str(ROOT / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
@@ -254,20 +265,44 @@ class TestPrecisionFlag:
 
 class TestWorkBound:
     def test_oversized_sum_fails_fast(self):
-        src = str(Path(__file__).resolve().parents[1] / "src")
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
         start = time.perf_counter()
         proc = subprocess.run(
             [sys.executable, "-m", "thetadim.cli", "dim", "sl", "-g", "2", "-n", "40",
              "-d", "0", "-k", "40"],
-            capture_output=True, text=True, env=env, timeout=30,
+            capture_output=True, text=True, env=_env_with_src(), timeout=30,
         )
         elapsed = time.perf_counter() - start
         assert proc.returncode == EXIT_UNSUPPORTED
         assert proc.stdout == ""
         assert "terms" in proc.stderr and "Traceback" not in proc.stderr
         assert elapsed < 1.0, f"took {elapsed:.3f}s"
+
+
+class TestImportSurface:
+    def test_cli_import_loads_no_heavy_module(self):
+        # a stray top-level import of any of these would undo the cheap start-up
+        probe = (
+            "import sys; bare = set(sys.modules); import thetadim.cli; "
+            "print(' '.join(sorted(set(sys.modules) - bare)))"
+        )
+        proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                              env=_env_with_src(), timeout=30)
+        assert proc.returncode == 0, proc.stderr
+        loaded = set(proc.stdout.split())
+        assert "thetadim.cli" in loaded
+        assert not loaded & {"dataclasses", "inspect", "json", "csv", "typing"}
+
+
+class TestGolden:
+    def test_every_golden_argv_replays_byte_identical(self, capsys):
+        golden = json.loads(GOLDEN.read_text())
+        mismatched = []
+        for key, want in golden.items():
+            code, out, _ = run_cli(capsys, *key.split(" "))
+            if (code, out) != (want["exit"], want["stdout"]):
+                mismatched.append(key)
+        assert len(golden) > 2000
+        assert not mismatched, mismatched[:5]
 
 
 class TestFactor:
