@@ -7,9 +7,10 @@ emitted as decimal strings, never floating point, so arbitrarily large
 dimensions survive the trip through JSON.
 
 Exit codes: 0 success, 1 check failure, 2 unsupported input (including a
-trigonometric sum of more than `verlinde.MAX_SUM_TERMS` reduced terms,
-which is rejected before any work, and a check whose bounds leave no
-instance to run, reported as EMPTY), 3 certification failure, 64 usage
+trigonometric sum over more than `verlinde.MAX_SUM_TERMS` subsets or, at
+genus >= 2, of more than `verlinde.MAX_PAIR_UPDATES` pair updates, both
+rejected before any work, and a check whose bounds leave no instance to
+run, reported as EMPTY), 3 certification failure, 64 usage
 error (including a `--max-precision-bits` below 1 and `factor` ranks
 below 1).
 """

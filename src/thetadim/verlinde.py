@@ -16,7 +16,7 @@ guessing.
 from __future__ import annotations
 
 import math
-from collections import namedtuple
+from collections import Counter, namedtuple
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
@@ -33,10 +33,16 @@ METHOD_ELLIPTIC = "elliptic-closed-form"
 METHOD_TRANSFER = "theorem1-transfer"
 METHOD_RANK_ONE = "trivial-rank-one"
 
-#: Largest number of terms C(n+k-1, n-1) of a reduced trigonometric sum
-#: that `beauville_sum` evaluates; beyond it the query is rejected as
+#: Largest number of subsets C(n+k-1, n-1) of a reduced trigonometric sum
+#: that `beauville_sum` enumerates; beyond it the query is rejected as
 #: unsupported before any term is built.
 MAX_SUM_TERMS = 100_000
+
+#: Largest enumeration work, C(n+k-1, n-1) subsets times the C(n, 2) pairs
+#: each one updates, that `beauville_sum` accepts at genus >= 2; beyond it
+#: the query is rejected as unsupported before any term is built.  The
+#: work grows like n^3 at level 1, where the subset count alone is only n.
+MAX_PAIR_UPDATES = 50_000_000
 
 
 class UnsupportedQuery(Exception):
@@ -112,7 +118,8 @@ def verlinde_sum_terms(
 def reduced_sum_terms(
     g: int, n: int, k: int
 ) -> tuple[list[tuple[Fraction, SineProductTerm]], Fraction]:
-    """The same sum as `verlinde_sum_terms`, reduced by two exact identities.
+    """The same sum as `verlinde_sum_terms`, reduced by two exact identities
+    and grouped by crossing profile.
 
     With M = n + k and x_d = |2 sin(pi d/M)|, this is the SU(n) alcove form
     of the Verlinde sum (Beauville, "Conformal blocks, fusion rules and the
@@ -120,7 +127,7 @@ def reduced_sum_terms(
 
     * terms are invariant under S -> S + 1 mod M, so the sum over all
       subsets is M/n times the sum over the C(M-1, n-1) subsets that
-      contain M; M/n is every term's coefficient;
+      contain M;
     * prod_{t != s} x_(s-t) = M for every s, so a term's product over
       s in S, t not in S equals M^(n(g-1)) * prod_{s < s' in S}
       x_(s'-s)^(-2(g-1)).
@@ -131,11 +138,17 @@ def reduced_sum_terms(
     gives x_d the exponent (g-1)(n*m_d - 2c_d), where c_d counts the pairs
     of S at folded offset d and m_d = 2 (1 when 2d = M) counts the offsets
     that fold onto d.  That exponent is never negative: it counts the
-    pairs s in S, t not in S at offset d.  Keeping M^(n(g-1)) as an exact
-    coefficient instead would multiply a huge constant into tiny negative
-    sine powers, which a fixed-point scale resolves only in absolute terms,
-    so the working precision would have to cover the constant's bits
-    rather than the value's.
+    pairs s in S, t not in S at offset d, the subset's crossing profile.
+    Keeping M^(n(g-1)) as an exact coefficient instead would multiply a
+    huge constant into tiny negative sine powers, which a fixed-point scale
+    resolves only in absolute terms, so the working precision would have
+    to cover the constant's bits rather than the value's.
+
+    A term depends on its subset only through the crossing profile, so one
+    term is returned per distinct profile, with coefficient multiplicity *
+    M/n; the coefficients sum to (M/n) * C(M-1, n-1).  At genus 1 every
+    term is the empty product, so the single term (M/n) * C(M-1, n-1) is
+    returned without enumerating subsets.  The scale is (n/M)^g.
 
     The symmetry S -> complement of S is deliberately not used: it would
     turn s(n, 0, k) and s(k, 0, n) into one computation and make the
@@ -145,29 +158,47 @@ def reduced_sum_terms(
         raise ValueError("genus, rank and level must all be >= 1")
     modulus = n + k
     coeff = Fraction(modulus, n)
+    scale = Fraction(n, modulus) ** g
+    if g == 1:
+        return [(coeff * math.comb(modulus - 1, n - 1), SineProductTerm(modulus, ()))], scale
     fold = [min(d, modulus - d) for d in range(modulus)]
     # n * m_d counts the pairs (s in S, t anywhere) at folded offset d; each
     # pair inside S is then removed in both orders.
     base = [0] + [n * (1 if 2 * d == modulus else 2) for d in range(1, modulus // 2 + 1)]
-    terms = []
+    profiles: Counter[tuple[int, ...]] = Counter()
     for rest in combinations(range(1, modulus), n - 1):
         subset = rest + (modulus,)
         crossing = base[:]
         for i, s in enumerate(subset):
             for t in subset[i + 1:]:
                 crossing[fold[t - s]] -= 2
-        factors = tuple((d, (g - 1) * c) for d, c in enumerate(crossing) if c) if g > 1 else ()
-        terms.append((coeff, SineProductTerm(modulus, factors)))
-    return terms, Fraction(n, modulus) ** g
+        profiles[tuple(crossing)] += 1
+    terms = [
+        (
+            coeff * multiplicity,
+            SineProductTerm(modulus, tuple((d, (g - 1) * c) for d, c in enumerate(crossing) if c)),
+        )
+        for crossing, multiplicity in profiles.items()
+    ]
+    return terms, scale
 
 
 @lru_cache(maxsize=None)
 def _certified_sum_value(g: int, n: int, k: int, max_bits: int) -> int:
+    """The certified reduced sum, or UnsupportedQuery when the work is too
+    large: the subset count is checked first, then, where subsets are
+    enumerated (genus >= 2), the subsets times the pairs in each."""
     count = math.comb(n + k - 1, n - 1)
     if count > MAX_SUM_TERMS:
         raise UnsupportedQuery(
             f"the reduced sum for rank {n}, level {k} has {count} terms, "
             f"above the limit of {MAX_SUM_TERMS}"
+        )
+    work = count * math.comb(n, 2)
+    if g > 1 and work > MAX_PAIR_UPDATES:
+        raise UnsupportedQuery(
+            f"the reduced sum for rank {n}, level {k} needs {work} pair updates, "
+            f"above the limit of {MAX_PAIR_UPDATES}"
         )
     terms, scale = reduced_sum_terms(g, n, k)
     enclosure = evaluate_sum(terms, scale, Fraction(1, 4), max_bits=max_bits)
@@ -181,9 +212,11 @@ def beauville_sum(
 
     This is the level-k dimension on the fixed-determinant moduli space of
     rank n and degree 0 mod n.  It evaluates `reduced_sum_terms` on the
-    integer fixed-point kernel, whose first precision is chosen a priori,
-    so the sum is normally certified in one precision step.  A sum of more
-    than MAX_SUM_TERMS reduced terms raises UnsupportedQuery.
+    integer fixed-point kernel, one term per crossing profile, whose first
+    precision is chosen a priori, so the sum is normally certified in one
+    precision step.  A sum over more than MAX_SUM_TERMS subsets, or at
+    genus >= 2 of more than MAX_PAIR_UPDATES pair updates, raises
+    UnsupportedQuery before any term is built.
     """
     return DimResult(_certified_sum_value(g, n, k, max_precision_bits), METHOD_TRIG, True)
 

@@ -6,6 +6,7 @@ as interval-width and wall-clock bounds) and prints one pass/fail line.
 Run with `pytest tests/test_acceptance.py -v -s` to see the lines.
 """
 
+import itertools
 import json
 import math
 import random
@@ -216,10 +217,41 @@ def test_reduced_and_reference_paths_certify_the_same_integers():
         cells = set(_trig_queries_from_criteria_1_to_5()) | set(FROZEN_SUMS)
         for g, n, k in sorted(cells):
             terms, scale = reduced_sum_terms(g, n, k)
-            assert len(terms) == math.comb(n + k - 1, n - 1)
+            # every subset containing n + k counted once, each profile once
+            assert sum(c for c, _ in terms) == Fraction(n + k, n) * math.comb(n + k - 1, n - 1)
+            assert len({t.factors for _, t in terms}) == len(terms)
             reduced, _ = _certify_at_first_rung(terms, scale)
             reference, _ = _certify_at_first_rung(*verlinde_sum_terms(g, n, k))
             assert reduced == reference == FROZEN_SUMS.get((g, n, k), reduced), (g, n, k)
+
+
+def _grouped_by_definition(g, n, k):
+    """{factors: total coefficient} of the reduced sum, with each subset's
+    crossing profile counted directly: pairs s in S, t not in S, by folded
+    offset."""
+    modulus = n + k
+    grouped = {}
+    for rest in itertools.combinations(range(1, modulus), n - 1):
+        inside = set(rest + (modulus,))
+        crossing = {}
+        for s in inside:
+            for t in range(1, modulus + 1):
+                if t not in inside:
+                    d = min((s - t) % modulus, (t - s) % modulus)
+                    crossing[d] = crossing.get(d, 0) + 1
+        factors = tuple(sorted((d, (g - 1) * c) for d, c in crossing.items())) if g > 1 else ()
+        grouped[factors] = grouped.get(factors, 0) + Fraction(modulus, n)
+    return grouped
+
+
+def test_reduced_terms_group_subsets_by_crossing_profile():
+    # exact, no trigonometry: the grouped terms equal a brute-force grouping
+    # of the subsets by their crossing profile
+    for g, n, k in _trig_queries_from_criteria_1_to_5():
+        terms, scale = reduced_sum_terms(g, n, k)
+        assert {t.factors: c for c, t in terms} == _grouped_by_definition(g, n, k), (g, n, k)
+        assert all(t.modulus == n + k for _, t in terms)
+        assert scale == Fraction(n, n + k) ** g
 
 
 @pytest.mark.parametrize("g,n,k", [(12, 5, 5), (30, 3, 2), (60, 4, 1), (96, 4, 1)])

@@ -277,6 +277,21 @@ class TestWorkBound:
         assert "terms" in proc.stderr and "Traceback" not in proc.stderr
         assert elapsed < 1.0, f"took {elapsed:.3f}s"
 
+    def test_cubic_pair_work_fails_fast(self):
+        # C(100000, 99999) = 100000 subsets pass the subset bound, but each
+        # would update C(100000, 2) pairs
+        start = time.perf_counter()
+        proc = subprocess.run(
+            [sys.executable, "-m", "thetadim.cli", "dim", "sl", "-g", "2", "-n", "100000",
+             "-d", "0", "-k", "1"],
+            capture_output=True, text=True, env=_env_with_src(), timeout=30,
+        )
+        elapsed = time.perf_counter() - start
+        assert proc.returncode == EXIT_UNSUPPORTED
+        assert proc.stdout == ""
+        assert "pair updates" in proc.stderr and "Traceback" not in proc.stderr
+        assert elapsed < 1.0, f"took {elapsed:.3f}s"
+
 
 class TestImportSurface:
     def test_cli_import_loads_no_heavy_module(self):

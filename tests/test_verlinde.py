@@ -5,16 +5,19 @@ from fractions import Fraction
 
 import pytest
 
+from thetadim.intervals import SineProductTerm
 from thetadim.verlinde import (
     METHOD_ELLIPTIC,
     METHOD_RANK_ONE,
     METHOD_TRANSFER,
     METHOD_TRIG,
+    MAX_PAIR_UPDATES,
     DimResult,
     UnsupportedQuery,
     VerlindeQuery,
     beauville_sum,
     gl_dim,
+    reduced_sum_terms,
     sl_dim,
     symmetric_power_dim,
     verlinde_sum_terms,
@@ -78,6 +81,21 @@ class TestBeauvilleSum:
     @pytest.mark.parametrize("g,n,k", [(2, 2, 4), (3, 3, 2), (2, 4, 3)])
     def test_against_live_oracle(self, g, n, k):
         assert beauville_sum(g, n, k).value == brute_force_sum(g, n, k)
+
+    def test_genus_one_is_one_term(self):
+        terms, scale = reduced_sum_terms(1, 3, 2)
+        assert terms == [(Fraction(10), SineProductTerm(5, ()))]
+        assert scale == Fraction(3, 5)
+
+    def test_work_bounds(self):
+        # the subset count is checked first; the pair work only where
+        # subsets are enumerated, so genus 1 stays exempt
+        with pytest.raises(UnsupportedQuery, match="terms"):
+            beauville_sum(2, 40, 40)
+        assert math.comb(500, 2) * 500 > MAX_PAIR_UPDATES
+        with pytest.raises(UnsupportedQuery, match="pair updates"):
+            beauville_sum(2, 500, 1)
+        assert beauville_sum(1, 500, 1).value == 500
 
 
 class TestSlDim:
