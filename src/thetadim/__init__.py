@@ -9,18 +9,8 @@ theta-bundle pullback and rescaling factorizations, and genus-1 closed
 forms.
 """
 
-from .checks import (
-    CHECK_NAMES,
-    CheckFailure,
-    CheckReport,
-    GridBounds,
-    InvolutionTriple,
-    bott_szenes_check,
-    duality_dim_check,
-    grid_sweep,
-    involution,
-    theorem1_ledger,
-)
+from importlib import import_module
+
 from .intervals import (
     DEFAULT_MAX_PRECISION_BITS,
     AmbiguousInterval,
@@ -31,20 +21,6 @@ from .intervals import (
     certify_integer,
     evaluate_sum,
     sin_enclosure,
-)
-from .theta import (
-    DegreeMismatch,
-    FormalLineClass,
-    NonIntegralExponent,
-    NotAMultiple,
-    PullbackFactorization,
-    RootEquation,
-    ThetaDescriptor,
-    complementary_invariants,
-    jacobian_pullback,
-    pullback_split,
-    theta_rescale,
-    theta_translate,
 )
 from .verlinde import (
     DimResult,
@@ -58,6 +34,52 @@ from .verlinde import (
     symmetric_power_dim,
     verlinde_sum_terms,
 )
+
+# The identity checks and the symbolic theta layer are imported on first
+# use of one of their names (PEP 562), so a dimension lookup never compiles
+# them; each name is then cached in this module's globals.
+_LAZY = {
+    "checks": (
+        "CHECK_NAMES",
+        "CheckFailure",
+        "CheckReport",
+        "GridBounds",
+        "InvolutionTriple",
+        "bott_szenes_check",
+        "duality_dim_check",
+        "grid_sweep",
+        "involution",
+        "theorem1_ledger",
+    ),
+    "theta": (
+        "DegreeMismatch",
+        "FormalLineClass",
+        "NonIntegralExponent",
+        "NotAMultiple",
+        "PullbackFactorization",
+        "RootEquation",
+        "ThetaDescriptor",
+        "complementary_invariants",
+        "jacobian_pullback",
+        "pullback_split",
+        "theta_rescale",
+        "theta_translate",
+    ),
+}
+_HOME = {name: home for home, names in _LAZY.items() for name in names}
+
+
+def __getattr__(name):
+    home = _HOME.get(name)
+    if home is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(import_module(f".{home}", __name__), name)
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))
+
 
 __all__ = [
     "AmbiguousInterval",

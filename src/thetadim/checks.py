@@ -25,8 +25,6 @@ that order, so reports are reproducible; instances are independent, so
 they may be evaluated concurrently without changing the report.
 """
 
-from __future__ import annotations
-
 import itertools
 import math
 from collections import namedtuple

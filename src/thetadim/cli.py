@@ -6,40 +6,67 @@ over a parameter grid), `table` (the s(n, 0, k) matrix at fixed genus) and
 emitted as decimal strings, never floating point, so arbitrarily large
 dimensions survive the trip through JSON.
 
+Only the dimension engine (`intervals`, `verlinde`) is imported at start-up.
+`check` imports `checks` (and through it `theta`) and `factor` imports
+`theta`, each when it parses or runs, so `dim`, `table` and usage errors
+compile neither.  The names taken from those two modules are module
+attributes resolved on first use (PEP 562), and the handlers call whatever
+this module holds under each name at call time.
+
 Exit codes: 0 success, 1 check failure, 2 unsupported input (including a
 trigonometric sum over more than `verlinde.MAX_SUM_TERMS` subsets or, at
-genus >= 2, of more than `verlinde.MAX_PAIR_UPDATES` pair updates, both
-rejected before any work, and a check whose bounds leave no instance to
-run, reported as EMPTY), 3 certification failure, 64 usage
-error (including a `--max-precision-bits` below 1 and `factor` ranks
+genus >= 2, of more than `verlinde.MAX_PAIR_UPDATES` pair updates and
+profile entries, both rejected before any work, a check whose bounds leave no
+instance to run, reported as EMPTY, and a `factor` precondition the theta
+layer rejects), 3 certification failure, 64 usage error (including an
+unknown check name, a `--max-precision-bits` below 1 and `factor` ranks
 below 1).
 """
 
-from __future__ import annotations
-
 import argparse
 import sys
+from importlib import import_module
 
-from .checks import CHECK_NAMES, CheckReport, GridBounds, grid_sweep
 from .intervals import DEFAULT_MAX_PRECISION_BITS, CertificationError
-from .theta import (
-    DegreeMismatch,
-    FormalLineClass,
-    NonIntegralExponent,
-    NotAMultiple,
-    ThetaDescriptor,
-    complementary_invariants,
-    jacobian_pullback,
-    pullback_split,
-    theta_rescale,
-)
 from .verlinde import UnsupportedQuery, VerlindeQuery, gl_dim, sl_dim
+
+# The names `check` and `factor` use from the modules that `dim` and `table`
+# never load.  `_bind` puts them into this module's globals, keeping any
+# name already bound there, such as a wrapper set by a tracer.
+_LAZY = {
+    "checks": ("CHECK_NAMES", "GridBounds", "grid_sweep"),
+    "theta": (
+        "DegreeMismatch",
+        "FormalLineClass",
+        "NonIntegralExponent",
+        "NotAMultiple",
+        "ThetaDescriptor",
+        "complementary_invariants",
+        "jacobian_pullback",
+        "pullback_split",
+        "theta_rescale",
+    ),
+}
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_UNSUPPORTED = 2
 EXIT_CERTIFICATION = 3
 EXIT_USAGE = 64
+
+
+def _bind(home: str) -> None:
+    module = import_module(f".{home}", __package__)
+    for name in _LAZY[home]:
+        globals().setdefault(name, getattr(module, name))
+
+
+def __getattr__(name):
+    for home, names in _LAZY.items():
+        if name in names:
+            _bind(home)
+            return globals()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -71,6 +98,14 @@ def _precision_bits(text: str) -> int:
     return bits
 
 
+def _check_name(text: str) -> str:
+    _bind("checks")
+    if text not in CHECK_NAMES:
+        choices = ", ".join(map(repr, CHECK_NAMES))
+        raise argparse.ArgumentTypeError(f"invalid choice: {text!r} (choose from {choices})")
+    return text
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="thetadim", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
@@ -89,7 +124,7 @@ def build_parser() -> argparse.ArgumentParser:
     dim.set_defaults(handler=_cmd_dim)
 
     check = sub.add_parser("check", parents=[precision], help="sweep one identity over a grid")
-    check.add_argument("name", choices=CHECK_NAMES)
+    check.add_argument("name", type=_check_name, help="identity to check; an unknown name lists them")
     check.add_argument("--max-rank", type=int, default=3)
     check.add_argument("--max-level", type=int, default=3)
     check.add_argument("--genus-range", type=_genus_range, default=(1, 3), metavar="A..B",
@@ -155,7 +190,7 @@ def _cmd_dim(args) -> int:
     return EXIT_OK
 
 
-def _render_report_text(report: CheckReport) -> str:
+def _render_report_text(report) -> str:
     lines = [
         f"check {report.check_name}: {report.instances_run} instances, "
         f"{report.skipped_unsupported} skipped (unsupported), "
@@ -170,6 +205,7 @@ def _render_report_text(report: CheckReport) -> str:
 
 
 def _cmd_check(args) -> int:
+    _bind("checks")
     lo, hi = args.genus_range
     try:
         bounds = GridBounds(
@@ -254,11 +290,15 @@ def _require(args, names: list[str]) -> bool:
 
 
 def _cmd_factor(args) -> int:
+    _bind("theta")
     try:
         return _factor(args)
     except ValueError as exc:  # a rank below 1, rejected by the theta layer
         print(f"thetadim factor {args.subject}: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except (NotAMultiple, NonIntegralExponent, DegreeMismatch) as exc:
+        print(f"precondition violated: {exc}", file=sys.stderr)
+        return EXIT_UNSUPPORTED
 
 
 def _factor(args) -> int:
@@ -312,9 +352,6 @@ def main(argv=None) -> int:
     except CertificationError as exc:
         print(f"certification failed: {exc}", file=sys.stderr)
         return EXIT_CERTIFICATION
-    except (NotAMultiple, NonIntegralExponent, DegreeMismatch) as exc:
-        print(f"precondition violated: {exc}", file=sys.stderr)
-        return EXIT_UNSUPPORTED
 
 
 def run() -> None:

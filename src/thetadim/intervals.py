@@ -28,8 +28,6 @@ Everything here is a pure function of its inputs; the per-precision caches
 are idempotent write-once tables, so concurrent use is safe.
 """
 
-from __future__ import annotations
-
 import math
 from collections import namedtuple
 from collections.abc import Iterable, Sequence

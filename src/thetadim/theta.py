@@ -23,8 +23,6 @@ are therefore reported as constraint equations instead of being extracted.
 All values are immutable and all operations pure.
 """
 
-from __future__ import annotations
-
 import math
 from collections import namedtuple
 from collections.abc import Mapping

@@ -13,8 +13,6 @@ not 0 mod n) has no formula here and raises UnsupportedQuery rather than
 guessing.
 """
 
-from __future__ import annotations
-
 import math
 from collections import Counter, namedtuple
 from fractions import Fraction
@@ -38,10 +36,12 @@ METHOD_RANK_ONE = "trivial-rank-one"
 #: unsupported before any term is built.
 MAX_SUM_TERMS = 100_000
 
-#: Largest enumeration work, C(n+k-1, n-1) subsets times the C(n, 2) pairs
-#: each one updates, that `beauville_sum` accepts at genus >= 2; beyond it
-#: the query is rejected as unsupported before any term is built.  The
-#: work grows like n^3 at level 1, where the subset count alone is only n.
+#: Largest enumeration work that `beauville_sum` accepts at genus >= 2:
+#: C(n+k-1, n-1) subsets times, for each, its C(n, 2) pair updates plus the
+#: floor((n+k)/2) + 1 entries of the crossing profile it copies and keys.
+#: Beyond it the query is rejected as unsupported before any term is built.
+#: The pairs grow like n^3 at level 1, where the subset count alone is only
+#: n; the profile copies grow like k^2 at rank 2, where there is one pair.
 MAX_PAIR_UPDATES = 50_000_000
 
 
@@ -187,18 +187,19 @@ def reduced_sum_terms(
 def _certified_sum_value(g: int, n: int, k: int, max_bits: int) -> int:
     """The certified reduced sum, or UnsupportedQuery when the work is too
     large: the subset count is checked first, then, where subsets are
-    enumerated (genus >= 2), the subsets times the pairs in each."""
+    enumerated (genus >= 2), the subsets times the pairs and profile
+    entries of each."""
     count = math.comb(n + k - 1, n - 1)
     if count > MAX_SUM_TERMS:
         raise UnsupportedQuery(
             f"the reduced sum for rank {n}, level {k} has {count} terms, "
             f"above the limit of {MAX_SUM_TERMS}"
         )
-    work = count * math.comb(n, 2)
+    work = count * (math.comb(n, 2) + (n + k) // 2 + 1)
     if g > 1 and work > MAX_PAIR_UPDATES:
         raise UnsupportedQuery(
-            f"the reduced sum for rank {n}, level {k} needs {work} pair updates, "
-            f"above the limit of {MAX_PAIR_UPDATES}"
+            f"the reduced sum for rank {n}, level {k} needs {work} pair updates "
+            f"and profile entries, above the limit of {MAX_PAIR_UPDATES}"
         )
     terms, scale = reduced_sum_terms(g, n, k)
     enclosure = evaluate_sum(terms, scale, Fraction(1, 4), max_bits=max_bits)
@@ -215,8 +216,8 @@ def beauville_sum(
     integer fixed-point kernel, one term per crossing profile, whose first
     precision is chosen a priori, so the sum is normally certified in one
     precision step.  A sum over more than MAX_SUM_TERMS subsets, or at
-    genus >= 2 of more than MAX_PAIR_UPDATES pair updates, raises
-    UnsupportedQuery before any term is built.
+    genus >= 2 of more than MAX_PAIR_UPDATES pair updates and profile
+    entries, raises UnsupportedQuery before any term is built.
     """
     return DimResult(_certified_sum_value(g, n, k, max_precision_bits), METHOD_TRIG, True)
 

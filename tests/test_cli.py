@@ -3,6 +3,7 @@
 import contextlib
 import json
 import os
+import resource
 import subprocess
 import sys
 import time
@@ -12,6 +13,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import thetadim
+from thetadim import cli
 from thetadim.checks import CHECK_NAMES
 from thetadim.cli import (
     EXIT_CERTIFICATION,
@@ -201,8 +204,11 @@ class TestCheck:
         assert code == EXIT_USAGE
 
     def test_unknown_check(self, capsys):
-        code, _, _ = run_cli(capsys, "check", "wrong-name")
+        code, out, err = run_cli(capsys, "check", "wrong-name")
         assert code == EXIT_USAGE
+        assert out == ""
+        assert "'wrong-name'" in err
+        assert all(f"'{name}'" in err for name in CHECK_NAMES)
 
 
 class TestTable:
@@ -292,20 +298,137 @@ class TestWorkBound:
         assert "pair updates" in proc.stderr and "Traceback" not in proc.stderr
         assert elapsed < 1.0, f"took {elapsed:.3f}s"
 
+    def test_rank_two_profile_copies_fail_fast(self):
+        # 100,000 subsets of one pair each pass both the subset bound and a
+        # pair count, but each copies and keys a 50,001-entry crossing
+        # profile.  The address-space limit turns a regression into a
+        # MemoryError in the child instead of about 20 GB of profiles.
+        def limit_memory():
+            resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
+
+        start = time.perf_counter()
+        proc = subprocess.run(
+            [sys.executable, "-m", "thetadim.cli", "dim", "sl", "-g", "2", "-n", "2",
+             "-d", "0", "-k", "99999"],
+            capture_output=True, text=True, env=_env_with_src(), timeout=30,
+            preexec_fn=limit_memory,
+        )
+        elapsed = time.perf_counter() - start
+        assert proc.returncode == EXIT_UNSUPPORTED
+        assert proc.stdout == ""
+        assert "profile entries" in proc.stderr and "Traceback" not in proc.stderr
+        assert elapsed < 1.0, f"took {elapsed:.3f}s"
+
+
+def _in_fresh_interpreter(code):
+    """Run `code` in a new interpreter; its stdout and stderr."""
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=_env_with_src(), timeout=30)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout, proc.stderr
+
+
+def _modules_loaded_by(code):
+    """The thetadim modules a fresh interpreter has loaded after running `code`."""
+    _, err = _in_fresh_interpreter(
+        f"import sys\n{code}\nprint(' '.join(sorted(sys.modules)), file=sys.stderr)"
+    )
+    return {name for name in err.splitlines()[-1].split() if name.startswith("thetadim")}
+
 
 class TestImportSurface:
     def test_cli_import_loads_no_heavy_module(self):
         # a stray top-level import of any of these would undo the cheap start-up
-        probe = (
+        out, _ = _in_fresh_interpreter(
             "import sys; bare = set(sys.modules); import thetadim.cli; "
             "print(' '.join(sorted(set(sys.modules) - bare)))"
         )
-        proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
-                              env=_env_with_src(), timeout=30)
-        assert proc.returncode == 0, proc.stderr
-        loaded = set(proc.stdout.split())
+        loaded = set(out.split())
         assert "thetadim.cli" in loaded
         assert not loaded & {"dataclasses", "inspect", "json", "csv", "typing"}
+
+    def test_package_import_loads_only_the_engine(self):
+        loaded = _modules_loaded_by("import thetadim")
+        assert loaded == {"thetadim", "thetadim.intervals", "thetadim.verlinde"}
+
+    @pytest.mark.parametrize(
+        "argv, wanted",
+        [
+            (["dim", "sl", "-g", "2", "-n", "2", "-d", "0", "-k", "3"], set()),
+            (["table", "-g", "2"], set()),
+            (["frobnicate"], set()),
+            (["factor", "rescale", "--rkF", "2", "--rkF0", "1"], {"thetadim.theta"}),
+            (["check", "elliptic"], {"thetadim.checks", "thetadim.theta"}),
+        ],
+        ids=["dim", "table", "usage-error", "factor", "check"],
+    )
+    def test_each_subcommand_loads_only_what_it_uses(self, argv, wanted):
+        loaded = _modules_loaded_by(
+            f"import contextlib, io\nfrom thetadim.cli import main\n"
+            f"with contextlib.redirect_stdout(io.StringIO()):\n    main({argv!r})"
+        )
+        assert loaded & {"thetadim.checks", "thetadim.theta"} == wanted
+
+    @pytest.mark.parametrize(
+        "name, argv",
+        [
+            ("sl_dim", ["dim", "sl", "-g", "2", "-n", "2", "-d", "0", "-k", "3"]),
+            ("grid_sweep", ["check", "elliptic", "--max-rank", "2", "--max-level", "2"]),
+            ("theta_rescale", ["factor", "rescale", "--rkF", "2", "--rkF0", "1"]),
+        ],
+    )
+    def test_handlers_call_what_the_module_holds(self, monkeypatch, capsys, name, argv):
+        # an outside-in tracer replaces these attributes after import
+        calls = []
+        original = getattr(cli, name)
+
+        def counting(*args, **kwargs):
+            calls.append(name)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(cli, name, counting)
+        code, _, _ = run_cli(capsys, *argv)
+        assert code == EXIT_OK
+        assert calls == [name]
+
+
+class TestLazyPackage:
+    """`thetadim` resolves its `checks` and `theta` names on first use (PEP 562)."""
+
+    def test_every_public_name_is_its_defining_modules_object(self):
+        # in a fresh interpreter, so each lazy name is resolved here first
+        probe = (
+            "import sys, thetadim\n"
+            "values = {name: getattr(thetadim, name) for name in thetadim.__all__}\n"
+            "from thetadim import checks, intervals, theta, verlinde\n"
+            "for name, value in values.items():\n"
+            "    home = getattr(value, '__module__', None) or next(\n"
+            "        m.__name__ for m in (intervals, verlinde, checks, theta) if name in vars(m))\n"
+            "    assert vars(sys.modules[home])[name] is value, name\n"
+            "    assert vars(thetadim)[name] is value, name\n"
+            "print(len(values))"
+        )
+        out, _ = _in_fresh_interpreter(probe)
+        assert int(out) == len(thetadim.__all__)
+
+    def test_star_import_binds_every_public_name(self):
+        out, _ = _in_fresh_interpreter(
+            "import thetadim\nfrom thetadim import *\n"
+            "print(all(name in globals() for name in thetadim.__all__))"
+        )
+        assert out == "True\n"
+
+    def test_dir_lists_every_public_name_before_it_is_loaded(self):
+        out, _ = _in_fresh_interpreter(
+            "import thetadim\nprint(set(thetadim.__all__) <= set(dir(thetadim)))"
+        )
+        assert out == "True\n"
+
+    def test_unknown_name_is_an_attribute_error(self):
+        with pytest.raises(AttributeError, match="no_such_name"):
+            thetadim.no_such_name
+        with pytest.raises(AttributeError, match="no_such_name"):
+            cli.no_such_name
 
 
 class TestGolden:
