@@ -12,8 +12,8 @@ one integer is then a proof of that integer value (`certify_integer`).
 
 The sum kernel (`evaluate_sum`) keeps one numeric representation: integer
 lower and upper bounds at a single fixed-point scale 2**-w, with w the
-precision plus guard bits.  Every multiply, power, reciprocal and signed
-rational scalar is floored on the lower bound and ceiled on the upper one,
+precision plus guard bits.  Every multiply, power and signed rational
+scalar is floored on the lower bound and ceiled on the upper one,
 in the manner of Arb's dyadic arithmetic (Johansson, "Arb: efficient
 arbitrary-precision midpoint-radius interval arithmetic", IEEE Trans.
 Computers, 2017); the sine enclosures are dyadic at that scale, so they
@@ -71,9 +71,6 @@ class CertifiedInterval(namedtuple("CertifiedInterval", "lo hi precision_bits"))
     """Rational enclosure [lo, hi] of a real quantity.
 
     `precision_bits` records the working precision that produced the bounds.
-    `sin_enclosure` is the one constructor that nests: re-enclosing a sine
-    at doubled precision intersects with the coarser enclosure, so its
-    refinement never widens.
     """
 
     __slots__ = ()
@@ -89,23 +86,14 @@ class CertifiedInterval(namedtuple("CertifiedInterval", "lo hi precision_bits"))
     def width(self) -> Fraction:
         return self.hi - self.lo
 
-    def intersect(self, other: "CertifiedInterval") -> "CertifiedInterval":
-        """Intersection of two enclosures of the same quantity."""
-        lo = max(self.lo, other.lo)
-        hi = min(self.hi, other.hi)
-        if lo > hi:
-            raise ValueError("disjoint intervals cannot enclose the same value")
-        return CertifiedInterval(lo, hi, max(self.precision_bits, other.precision_bits))
-
 
 class SineProductTerm(namedtuple("SineProductTerm", "modulus factors")):
     """The product  prod_j |2 sin(pi m_j / M)|^(e_j)  over one modulus M.
 
     Offsets are reduced modulo M into (0, M) at construction; the absolute
-    value makes this harmless since |sin(pi x / M)| has period M.  Since no
-    offset vanishes modulo M, every factor is strictly positive, so any
-    integer exponent is allowed: a negative one divides by the sine power.
-    An empty factor list represents the value 1.
+    value makes this harmless since |sin(pi x / M)| has period M.  Exponents
+    are nonnegative integers, as are the crossing-profile exponents of the
+    Verlinde sums.  An empty factor list represents the value 1.
     """
 
     __slots__ = ()
@@ -118,6 +106,8 @@ class SineProductTerm(namedtuple("SineProductTerm", "modulus factors")):
             r = m % modulus
             if r == 0:
                 raise ValueError(f"offset {m} vanishes modulo {modulus}")
+            if e < 0:
+                raise ValueError("exponents must be nonnegative")
             reduced.append((r, e))
         return super().__new__(cls, modulus, tuple(reduced))
 
@@ -207,8 +197,7 @@ def _sin_series_scaled(num: int, den: int, work_bits: int) -> tuple[int, int]:
 def sin_enclosure(m: int, modulus: int, precision_bits: int) -> CertifiedInterval:
     """Certified enclosure of 2*sin(pi*m/modulus) for 0 < m < modulus.
 
-    The width is at most 2**(1 - precision_bits), and doubling the precision
-    produces an interval nested inside the previous one.
+    The width is at most 2**(1 - precision_bits).
     """
     if precision_bits < 1:
         raise ValueError("precision_bits must be positive")
@@ -230,10 +219,7 @@ def sin_enclosure(m: int, modulus: int, precision_bits: int) -> CertifiedInterva
         raise ValueError("modulus too large for this working precision")
     sin_lo, _ = _sin_series_scaled(pi_lo * folded, modulus, work)
     _, sin_hi = _sin_series_scaled(pi_hi * folded, modulus, work)
-    iv = CertifiedInterval(Fraction(2 * sin_lo, scale), Fraction(2 * sin_hi, scale), precision_bits)
-    if precision_bits > _START_BITS:
-        iv = iv.intersect(sin_enclosure(m, modulus, precision_bits // 2))
-    return iv
+    return CertifiedInterval(Fraction(2 * sin_lo, scale), Fraction(2 * sin_hi, scale), precision_bits)
 
 
 # ---------------------------------------------------------------------------
@@ -252,16 +238,10 @@ def _to_scaled(iv: CertifiedInterval, work_bits: int) -> tuple[int, int]:
 def _power_scaled(lo: int, hi: int, e: int, work_bits: int) -> tuple[int, int]:
     """Bounds on x**e at scale 2**work_bits, for x in [lo, hi] / 2**work_bits, x > 0.
 
-    A negative exponent inverts first and then powers 1/x.  Every product
-    is floored on the lower bound and ceiled on the upper one; with both
-    bounds nonnegative that keeps the enclosure rigorous.
+    The exponent is nonnegative.  Every product is floored on the lower
+    bound and ceiled on the upper one; with both bounds nonnegative that
+    keeps the enclosure rigorous.
     """
-    if e < 0:
-        if lo <= 0:
-            raise ValueError("cannot invert an enclosure that reaches zero")
-        unit = 1 << (2 * work_bits)
-        lo, hi = unit // hi, -(-unit // lo)
-        e = -e
     result_lo = result_hi = 1 << work_bits
     while e:
         if e & 1:
@@ -323,7 +303,7 @@ def _first_rung(
                 x = 2 * math.sin(math.pi * m / term.modulus)
                 cost = costs[key] = (
                     max(e * math.log2(x), 0.0),
-                    abs(e) * _SINE_ERROR_UNITS / x + 2 * abs(e).bit_length() + 2,
+                    e * _SINE_ERROR_UNITS / x + 2 * e.bit_length() + 2,
                 )
             log_size += cost[0]
             roundings += cost[1]
@@ -421,6 +401,4 @@ def certify_integer(interval: CertifiedInterval) -> int:
         raise NoIntegerInInterval(
             f"no integer in [{_approx(interval.lo, '.6f')}, {_approx(interval.hi, '.6f')}]"
         )
-    if lowest < highest:  # unreachable with width < 1/2; kept for clarity
-        raise AmbiguousInterval(f"{highest - lowest + 1} integer candidates")
     return lowest

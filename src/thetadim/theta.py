@@ -62,11 +62,6 @@ class FormalLineClass:
         self._degrees = tuple(sorted((name, int(degrees.get(name, 0))) for name in kept))
 
     @classmethod
-    def identity(cls) -> "FormalLineClass":
-        """The class of the trivial bundle."""
-        return cls()
-
-    @classmethod
     def symbol(cls, name: str, degree: int = 0, power: int = 1) -> "FormalLineClass":
         return cls({name: power}, {name: degree})
 
@@ -75,17 +70,10 @@ class FormalLineClass:
         return dict(self._exponents)
 
     @property
-    def degree_table(self) -> dict[str, int]:
-        return dict(self._degrees)
-
-    @property
     def degree(self) -> int:
         """Total degree: the group homomorphism sum(exponent * degree(symbol))."""
         degrees = dict(self._degrees)
         return sum(e * degrees[name] for name, e in self._exponents)
-
-    def is_identity(self) -> bool:
-        return not self._exponents
 
     def __mul__(self, other: "FormalLineClass") -> "FormalLineClass":
         if not isinstance(other, FormalLineClass):

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from thetadim import intervals
 from thetadim.intervals import (
     AmbiguousInterval,
     CertificationError,
@@ -13,6 +14,7 @@ from thetadim.intervals import (
     NoIntegerInInterval,
     SineProductTerm,
     _GUARD_BITS,
+    _first_rung,
     _pi_scaled,
     _sum_scaled,
     certify_integer,
@@ -40,12 +42,6 @@ class TestCertifiedInterval:
         assert iv.width == Fraction(1, 3)
         assert iv.lo <= Fraction(1, 2) <= iv.hi
         assert not iv.lo <= 1 <= iv.hi
-
-    def test_intersect_disjoint_rejected(self):
-        a = CertifiedInterval(Fraction(0), Fraction(1), 64)
-        b = CertifiedInterval(Fraction(2), Fraction(3), 64)
-        with pytest.raises(ValueError):
-            a.intersect(b)
 
 
 class TestPiEnclosure:
@@ -115,14 +111,9 @@ class TestSineProductTerm:
         with pytest.raises(ValueError):
             SineProductTerm(5, ((10, 1),))
 
-    def test_negative_exponent_is_reciprocal(self):
-        # (2 sin(pi/4))^-2 = 1/2 at M = 4, so twice the term certifies 1.
-        term = SineProductTerm(4, ((1, -2),))
-        assert term.factors == ((1, -2),)
-        iv = evaluate_sum([(Fraction(1), term)], Fraction(1), Fraction(1, 2**60))
-        assert iv.lo <= Fraction(1, 2) <= iv.hi
-        doubled = evaluate_sum([(Fraction(2), term)], Fraction(1), Fraction(1, 4))
-        assert certify_integer(doubled) == 1
+    def test_rejects_negative_exponent(self):
+        with pytest.raises(ValueError, match="exponents must be nonnegative"):
+            SineProductTerm(4, ((1, 2), (3, -1)))
 
 
 class TestEvaluateSum:
@@ -172,8 +163,8 @@ class TestEvaluateSum:
         scale=st.fractions(min_value=-8, max_value=8, max_denominator=9).filter(bool),
     )
     @settings(max_examples=60, deadline=None)
-    def test_signed_sums_with_reciprocals_contain_oracle(self, data, modulus, scale):
-        factor = st.tuples(st.integers(1, modulus - 1), st.integers(-4, 4))
+    def test_signed_sums_contain_oracle(self, data, modulus, scale):
+        factor = st.tuples(st.integers(1, modulus - 1), st.integers(0, 4))
         term = st.tuples(
             st.fractions(min_value=-6, max_value=6, max_denominator=5),
             st.lists(factor, max_size=3),
@@ -190,6 +181,28 @@ class TestEvaluateSum:
         iv = evaluate_sum(terms, scale, Fraction(1, 2**20))
         assert iv.lo - ORACLE_SLACK <= oracle <= iv.hi + ORACLE_SLACK
         assert iv.width <= Fraction(1, 2**20)
+
+    def test_cold_sum_encloses_sines_only_at_its_rung(self, monkeypatch):
+        term = SineProductTerm(7, ((1, 1), (2, 1), (3, 1)))  # sqrt(7)
+        target = Fraction(1, 2**200)
+        assert _first_rung([(Fraction(1), term)], Fraction(1), target, 16384) == 256
+        original = intervals.sin_enclosure
+        requested = []
+
+        def counting(m, modulus, precision_bits):
+            requested.append(precision_bits)
+            return original(m, modulus, precision_bits)
+
+        original.cache_clear()
+        _pi_scaled.cache_clear()
+        monkeypatch.setattr(intervals, "sin_enclosure", counting)
+        try:
+            iv = evaluate_sum([(Fraction(1), term)], Fraction(1), target)
+        finally:
+            original.cache_clear()
+            _pi_scaled.cache_clear()
+        assert iv.precision_bits == 256
+        assert requested == [256, 256, 256]
 
     def test_width_shrinks_when_precision_doubles(self):
         term = SineProductTerm(7, ((1, 1), (2, 1), (3, 1)))

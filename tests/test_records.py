@@ -23,8 +23,8 @@ RECORDS = [
      "DimResult(value=4, method='trig-sum', certified=True)"),
     (CertifiedInterval, dict(lo=Fraction(1, 3), hi=Fraction(1, 2), precision_bits=64),
      "CertifiedInterval(lo=Fraction(1, 3), hi=Fraction(1, 2), precision_bits=64)"),
-    (SineProductTerm, dict(modulus=5, factors=((2, 2), (4, -1))),
-     "SineProductTerm(modulus=5, factors=((2, 2), (4, -1)))"),
+    (SineProductTerm, dict(modulus=5, factors=((2, 2), (4, 1))),
+     "SineProductTerm(modulus=5, factors=((2, 2), (4, 1)))"),
     (ThetaDescriptor, dict(rank=2, det=DET_F),
      "ThetaDescriptor(rank=2, det=FormalLineClass('detF^1'))"),
     (PullbackFactorization, dict(left_exponent=3, right_descriptor=DESCRIPTOR),
@@ -60,6 +60,8 @@ INVALID = [
     (SineProductTerm, dict(modulus=0, factors=()), "modulus must be a positive integer"),
     (SineProductTerm, dict(modulus=5, factors=((1, 1), (10, 2))),
      "offset 10 vanishes modulo 5"),
+    (SineProductTerm, dict(modulus=5, factors=((2, 2), (4, -1))),
+     "exponents must be nonnegative"),
     (ThetaDescriptor, dict(rank=0, det=DET_F), "rank must be >= 1"),
     (PullbackFactorization, dict(left_exponent=0, right_descriptor=DESCRIPTOR),
      "left exponent must be >= 1"),

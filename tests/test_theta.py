@@ -34,11 +34,12 @@ class TestFormalLineClass:
     def test_canonical_form_drops_zero_exponents(self):
         cls = FormalLineClass({"A": 0, "B": 2}, {"A": 5, "B": 1})
         assert cls.exponents == {"B": 2}
-        assert cls.degree_table == {"B": 1}
+        assert cls == FormalLineClass({"B": 2}, {"B": 1})
 
     def test_identity(self):
-        one = FormalLineClass.identity()
-        assert one.is_identity()
+        one = FormalLineClass()
+        assert one == FormalLineClass({"L": 0}, {"L": 3})
+        assert one.exponents == {}
         assert one.degree == 0
         assert str(one) == "O"
 
@@ -50,7 +51,7 @@ class TestFormalLineClass:
 
     def test_multiplication_cancels(self):
         a = FormalLineClass.symbol("L", degree=1)
-        assert (a * a**-1).is_identity()
+        assert a * a**-1 == FormalLineClass()
 
     def test_conflicting_degrees_rejected(self):
         a = FormalLineClass.symbol("L", degree=1)
@@ -73,14 +74,14 @@ class TestFormalLineClass:
     def test_abelian_group_laws(self, a, b, c):
         assert (a * b) * c == a * (b * c)
         assert a * b == b * a
-        assert a * FormalLineClass.identity() == a
-        assert (a * a**-1).is_identity()
+        assert a * FormalLineClass() == a
+        assert a * a**-1 == FormalLineClass()
         assert (a * b).degree == a.degree + b.degree
 
     @given(a=line_classes, e=st.integers(-5, 5))
     @settings(max_examples=60, deadline=None)
     def test_power_matches_repeated_product(self, a, e):
-        expected = FormalLineClass.identity()
+        expected = FormalLineClass()
         base = a if e >= 0 else a**-1
         for _ in range(abs(e)):
             expected = expected * base
@@ -118,7 +119,7 @@ class TestThetaRescale:
     def test_identity_rescale(self):
         F = ThetaDescriptor(3, FormalLineClass.symbol("detF", degree=4))
         a, twist = theta_rescale(F, F)
-        assert a == 1 and twist.is_identity()
+        assert a == 1 and twist == FormalLineClass()
 
     def test_rank_mismatch(self):
         F = ThetaDescriptor(3, FormalLineClass.symbol("detF"))
@@ -153,8 +154,8 @@ class TestThetaTranslate:
 
     def test_identity_twist(self):
         F = ThetaDescriptor(2, FormalLineClass.symbol("detF"))
-        _, twist = theta_translate(F, FormalLineClass.identity())
-        assert twist.is_identity()
+        _, twist = theta_translate(F, FormalLineClass())
+        assert twist == FormalLineClass()
 
     def test_level_power_multiplies_exponent(self):
         F = ThetaDescriptor(2, FormalLineClass.symbol("detF"))
@@ -245,9 +246,9 @@ class TestJacobianPullback:
 class TestDescriptors:
     def test_rank_validation(self):
         with pytest.raises(ValueError):
-            ThetaDescriptor(0, FormalLineClass.identity())
+            ThetaDescriptor(0, FormalLineClass())
         with pytest.raises(ValueError):
-            PullbackFactorization(0, ThetaDescriptor(1, FormalLineClass.identity()))
+            PullbackFactorization(0, ThetaDescriptor(1, FormalLineClass()))
 
     def test_equality_is_rank_and_det(self):
         det = FormalLineClass.symbol("detF", degree=1)
