@@ -32,7 +32,6 @@ from .verlinde import (
     reduced_sum_terms,
     sl_dim,
     symmetric_power_dim,
-    verlinde_sum_terms,
 )
 
 # The identity checks and the symbolic theta layer are imported on first
@@ -45,11 +44,8 @@ _LAZY = {
         "CheckReport",
         "GridBounds",
         "InvolutionTriple",
-        "bott_szenes_check",
-        "duality_dim_check",
         "grid_sweep",
         "involution",
-        "theorem1_ledger",
     ),
     "theta": (
         "DegreeMismatch",
@@ -63,7 +59,6 @@ _LAZY = {
         "jacobian_pullback",
         "pullback_split",
         "theta_rescale",
-        "theta_translate",
     ),
 }
 _HOME = {name: home for home, names in _LAZY.items() for name in names}
@@ -105,10 +100,8 @@ __all__ = [
     "UnsupportedQuery",
     "VerlindeQuery",
     "beauville_sum",
-    "bott_szenes_check",
     "certify_integer",
     "complementary_invariants",
-    "duality_dim_check",
     "evaluate_sum",
     "gl_dim",
     "grid_sweep",
@@ -119,8 +112,5 @@ __all__ = [
     "sin_enclosure",
     "sl_dim",
     "symmetric_power_dim",
-    "theorem1_ledger",
     "theta_rescale",
-    "theta_translate",
-    "verlinde_sum_terms",
 ]

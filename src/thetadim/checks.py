@@ -14,12 +14,14 @@ an exact integer comparison over finite parameter grids:
     partner triple;
   * the degree-zero special case s(n, 0, k)*k^g = s(k, 0, n)*n^g, which
     pits two independently computed trigonometric sums against each other;
-  * the genus-1 collapse of the trigonometric sum to a binomial.
+  * the genus-1 collapse of the trigonometric sum to a binomial.  There
+    every term is 1, so this compares a certified subset count with
+    C(n+k-1, k) and evaluates no sine.
 
 Each identity is written once, as the two sides of its comparison at one
-instance (g, n, d, k); single-instance checks and sweeps share it.  Queries
-the engine cannot evaluate are skipped and counted, never treated as
-failures, and a sweep that runs no instance is "empty", not passed.
+instance (g, n, d, k), and one sweep, `grid_sweep`, drives them all.
+Queries the engine cannot evaluate are skipped and counted, never treated
+as failures, and a sweep that runs no instance is "empty", not passed.
 Sweeps enumerate lexicographically in (g, n, d, k) and report failures in
 that order, so reports are reproducible; instances are independent, so
 they may be evaluated concurrently without changing the report.
@@ -166,7 +168,9 @@ def _duality_sides(g, n, d, k, bits):
 
 
 def _elliptic_sides(g, n, d, k, bits):
-    # the trig engine against the genus-1 closed form
+    # At genus 1 every term is the empty product, so no sine is evaluated:
+    # the left side certifies the subset count (M/n)*C(M-1, n-1) times the
+    # scale n/M as an integer, and the right side is C(n+k-1, k).
     return beauville_sum(g, n, k, max_precision_bits=bits).value, symmetric_power_dim(n, k)
 
 
@@ -212,51 +216,6 @@ def _text(side) -> str:
     return str(Decimal(side)) if isinstance(side, int) else str(side)
 
 
-def _note(check: str) -> str:
-    return _DUALITY_NOTE if check == "duality" else ""
-
-
-def _check_one(check: str, inputs: tuple, bits: int) -> CheckReport:
-    failure = _compare(check, inputs, bits)
-    return CheckReport(check, 1, (failure,) if failure else (), note=_note(check))
-
-
-def theorem1_ledger(
-    query: VerlindeQuery, *, max_precision_bits: int = DEFAULT_MAX_PRECISION_BITS
-) -> CheckReport:
-    """Check s*(k*n^2/h)^g = v*n^(2g): section count upstairs on the covering
-    versus character-by-character count downstairs.
-
-    `gl_dim` defines v = s*(k/h)^g, so the two sides agree by algebra; what
-    this actually tests is `gl_dim`'s integrality h^g | s*k^g, which raises
-    IntegralityViolation when it fails.
-    """
-    inputs = (query.genus, query.rank, query.degree, query.level)
-    return _check_one("theorem1", inputs, max_precision_bits)
-
-
-def duality_dim_check(
-    t: InvolutionTriple, *, max_precision_bits: int = DEFAULT_MAX_PRECISION_BITS
-) -> CheckReport:
-    """Check the dimension equality s(n1, d1, k) = v(n2, d2, h) across the
-    involution; raises UnsupportedQuery when either side is not computable.
-
-    At d = 0 mod n this is the Bott-Szenes identity s(n, 0, k)*k^g =
-    s(k, 0, n)*n^g routed through `gl_dim`.
-    """
-    return _check_one("duality", (t.genus, t.rank, t.degree, t.level), max_precision_bits)
-
-
-def bott_szenes_check(
-    n: int, k: int, g: int, *, max_precision_bits: int = DEFAULT_MAX_PRECISION_BITS
-) -> CheckReport:
-    """Check s(n, 0, k)*k^g = s(k, 0, n)*n^g with both sides computed as
-    independent trigonometric sums."""
-    if g < 2:
-        raise ValueError("genus must be >= 2")
-    return _check_one("bott-szenes", (g, n, 0, k), max_precision_bits)
-
-
 def grid_sweep(
     check: str,
     bounds: GridBounds,
@@ -292,7 +251,7 @@ def grid_sweep(
         if failure:
             failures.append(failure)
 
-    name, note = check, _note(check)
+    name, note = check, _DUALITY_NOTE if check == "duality" else ""
     if negative_control:
         name += " [negative-control]"
         note = (note + "; " if note else "") + "right-hand sides deliberately perturbed"

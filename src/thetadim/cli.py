@@ -10,8 +10,9 @@ Only the dimension engine (`intervals`, `verlinde`) is imported at start-up.
 `check` imports `checks` (and through it `theta`) and `factor` imports
 `theta`, each when it parses or runs, so `dim`, `table` and usage errors
 compile neither.  The names taken from those two modules are module
-attributes resolved on first use (PEP 562), and the handlers call whatever
-this module holds under each name at call time.
+attributes resolved on first use (PEP 562) through the package's lazy-name
+table, and the handlers call whatever this module holds under each name at
+call time.
 
 Exit codes: 0 success, 1 check failure, 2 unsupported input (including a
 trigonometric sum over more than `verlinde.MAX_SUM_TERMS` subsets or, at
@@ -27,26 +28,9 @@ import argparse
 import sys
 from importlib import import_module
 
+from . import _HOME, _LAZY
 from .intervals import DEFAULT_MAX_PRECISION_BITS, CertificationError
 from .verlinde import UnsupportedQuery, VerlindeQuery, gl_dim, sl_dim
-
-# The names `check` and `factor` use from the modules that `dim` and `table`
-# never load.  `_bind` puts them into this module's globals, keeping any
-# name already bound there, such as a wrapper set by a tracer.
-_LAZY = {
-    "checks": ("CHECK_NAMES", "GridBounds", "grid_sweep"),
-    "theta": (
-        "DegreeMismatch",
-        "FormalLineClass",
-        "NonIntegralExponent",
-        "NotAMultiple",
-        "ThetaDescriptor",
-        "complementary_invariants",
-        "jacobian_pullback",
-        "pullback_split",
-        "theta_rescale",
-    ),
-}
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -56,17 +40,19 @@ EXIT_USAGE = 64
 
 
 def _bind(home: str) -> None:
+    """Put the package's lazy names from `home` into this module's globals,
+    keeping any name already bound here, such as a wrapper set by a tracer."""
     module = import_module(f".{home}", __package__)
     for name in _LAZY[home]:
         globals().setdefault(name, getattr(module, name))
 
 
 def __getattr__(name):
-    for home, names in _LAZY.items():
-        if name in names:
-            _bind(home)
-            return globals()[name]
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    home = _HOME.get(name)
+    if home is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    _bind(home)
+    return globals()[name]
 
 
 class _Parser(argparse.ArgumentParser):

@@ -11,8 +11,6 @@ here are pure exponent bookkeeping on these data:
     have so that its Euler pairing with the moduli space vanishes;
   * rescaling: theta bundles for twisting bundles of proportional rank
     differ by a power and a determinant-pullback twist;
-  * translation: twisting by a degree-0 line bundle only contributes a
-    determinant-pullback twist;
   * pullback along the tensor-product map, which splits into an outer
     power on the fixed-determinant factor and a theta bundle on the other
     factor; specializing the second factor to the Jacobian gives the
@@ -62,12 +60,8 @@ class FormalLineClass:
         self._degrees = tuple(sorted((name, int(degrees.get(name, 0))) for name in kept))
 
     @classmethod
-    def symbol(cls, name: str, degree: int = 0, power: int = 1) -> "FormalLineClass":
-        return cls({name: power}, {name: degree})
-
-    @property
-    def exponents(self) -> dict[str, int]:
-        return dict(self._exponents)
+    def symbol(cls, name: str, degree: int = 0) -> "FormalLineClass":
+        return cls({name: 1}, {name: degree})
 
     @property
     def degree(self) -> int:
@@ -185,20 +179,6 @@ def theta_rescale(F: ThetaDescriptor, F0: ThetaDescriptor) -> tuple[int, FormalL
         raise NotAMultiple(f"rank {F.rank} is not a multiple of rank {F0.rank}")
     a = F.rank // F0.rank
     return a, F.det * F0.det**-a
-
-
-def theta_translate(
-    F: ThetaDescriptor, twist_class: FormalLineClass
-) -> tuple[ThetaDescriptor, FormalLineClass]:
-    """Twisting the bundle by a degree-0 class M moves theta by det* M^(rk F).
-
-    Returns (F, M^(rk F)); the base descriptor is unchanged.
-    """
-    if twist_class.degree != 0:
-        raise DegreeMismatch(
-            f"translation requires a degree-0 class, got degree {twist_class.degree}"
-        )
-    return F, twist_class**F.rank
 
 
 def pullback_split(

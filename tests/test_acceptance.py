@@ -16,7 +16,7 @@ from fractions import Fraction
 
 import pytest
 
-from thetadim.checks import InvolutionTriple, duality_dim_check, involution, theorem1_ledger
+from thetadim.checks import GridBounds, InvolutionTriple, _compare, grid_sweep, involution
 from thetadim.cli import main
 from thetadim.intervals import (
     DEFAULT_MAX_PRECISION_BITS,
@@ -29,7 +29,6 @@ from thetadim.intervals import (
 )
 from thetadim.theta import FormalLineClass, ThetaDescriptor, complementary_invariants, theta_rescale
 from thetadim.verlinde import (
-    UnsupportedQuery,
     VerlindeQuery,
     _certified_sum_value,
     beauville_sum,
@@ -103,18 +102,19 @@ def test_criterion_4_level_rank_transfer():
 
 def test_criterion_5_transfer_ledger_grid():
     with criterion("5 transfer ledger on n <= 4, |d| <= 8, k <= 4, g <= 3"):
-        run = 0
-        for g in range(1, 4):
-            for n in range(1, 5):
-                for d in range(-8, 9):
-                    for k in range(1, 5):
-                        try:
-                            report = theorem1_ledger(VerlindeQuery(g, n, d, k))
-                        except UnsupportedQuery:
-                            continue
-                        assert report.passed, (g, n, d, k)
-                        run += 1
-        assert run > 0
+        report = grid_sweep("theorem1", GridBounds(4, 4, 1, 3, 8))
+        assert report.passed, report.failures
+        # every tuple at genus 1, and d = 0 mod n at genus 2 and 3
+        computable = [
+            (g, n, d, k)
+            for g in range(1, 4)
+            for n in range(1, 5)
+            for d in range(-8, 9)
+            for k in range(1, 5)
+            if g == 1 or d % n == 0
+        ]
+        assert report.instances_run == len(computable) == 560
+        assert report.skipped_unsupported == 3 * 4 * 17 * 4 - 560
 
 
 def test_criterion_6_involution_randomized():
@@ -140,16 +140,19 @@ def test_criterion_7_duality_dimension_grid():
         # the worked instance first: s(2,0,3) = 20 against v(3,3,2) = 20
         assert sl_dim(VerlindeQuery(2, 2, 0, 3)).value == 20
         assert gl_dim(VerlindeQuery(2, 3, 3, 2)).value == 20
-        assert duality_dim_check(InvolutionTriple(2, 0, 3, 2)).passed
+        assert _compare("duality", (2, 2, 0, 3), DEFAULT_MAX_PRECISION_BITS) is None
 
-        for g in (2, 3):
-            for n in range(1, 5):
-                for d in range(-8, 9):
-                    if d % n:
-                        continue
-                    for k in range(1, 5):
-                        report = duality_dim_check(InvolutionTriple(n, d, k, g))
-                        assert report.passed, (g, n, d, k)
+        report = grid_sweep("duality", GridBounds(4, 4, 2, 3, 8))
+        assert report.passed, report.failures
+        degree_zero_mod_rank = [
+            (g, n, d, k)
+            for g in (2, 3)
+            for n in range(1, 5)
+            for d in range(-8, 9)
+            if d % n == 0
+            for k in range(1, 5)
+        ]
+        assert report.instances_run == len(degree_zero_mod_rank) == 288
 
 
 def _trig_queries_from_criteria_1_to_5():

@@ -11,14 +11,13 @@ from thetadim.checks import (
     CheckReport,
     GridBounds,
     InvolutionTriple,
-    bott_szenes_check,
-    duality_dim_check,
+    _compare,
     grid_sweep,
     involution,
-    theorem1_ledger,
 )
 from thetadim import verlinde
-from thetadim.verlinde import UnsupportedQuery, VerlindeQuery
+from thetadim.intervals import DEFAULT_MAX_PRECISION_BITS
+from thetadim.verlinde import UnsupportedQuery
 
 triples = st.builds(
     InvolutionTriple,
@@ -50,56 +49,63 @@ class TestInvolution:
         assert partner.degree // partner.h == n_bar * (t.genus - 1) - d_bar
 
 
+def _holds(check, g, n, d, k):
+    """One instance of a named identity, compared exactly as a sweep does."""
+    return _compare(check, (g, n, d, k), DEFAULT_MAX_PRECISION_BITS) is None
+
+
 class TestTheorem1Ledger:
     def test_degree_zero_level_one(self):
-        report = theorem1_ledger(VerlindeQuery(2, 2, 0, 1))
-        assert report.passed and report.instances_run == 1
+        report = grid_sweep("theorem1", GridBounds(2, 1, 2, 2, 0))
+        assert report.passed and report.instances_run == 2
+        assert _holds("theorem1", 2, 2, 0, 1)
 
     def test_rank_one(self):
         for g in (1, 2, 3):
-            assert theorem1_ledger(VerlindeQuery(g, 1, 7, 4)).passed
+            assert _holds("theorem1", g, 1, 7, 4)
 
     def test_level_three(self):
         # s = 20, v = 45: both sides equal 720.
-        assert theorem1_ledger(VerlindeQuery(2, 2, 0, 3)).passed
+        assert _holds("theorem1", 2, 2, 0, 3)
 
     def test_unsupported_propagates(self):
         with pytest.raises(UnsupportedQuery):
-            theorem1_ledger(VerlindeQuery(3, 2, 1, 1))
+            _compare("theorem1", (3, 2, 1, 1), DEFAULT_MAX_PRECISION_BITS)
 
 
 class TestDualityDimCheck:
     def test_worked_example_level_one(self):
-        report = duality_dim_check(InvolutionTriple(2, 0, 1, 2))
-        assert report.passed
+        assert _holds("duality", 2, 2, 0, 1)
 
     def test_rank_one_trivial(self):
         for g in (1, 2, 5):
-            assert duality_dim_check(InvolutionTriple(1, 0, 1, g)).passed
+            assert _holds("duality", g, 1, 0, 1)
 
     def test_worked_example_level_three(self):
-        report = duality_dim_check(InvolutionTriple(2, 0, 3, 2))
-        assert report.passed
+        assert _holds("duality", 2, 2, 0, 3)
+        report = grid_sweep("duality", GridBounds(2, 3, 2, 2, 0))
+        assert report.passed and report.instances_run == 6
         assert report.note  # labeled as resting on a conjecture
 
     def test_genus_one_twisted_degrees(self):
         # both sides computable at genus 1 even for degrees coprime to rank
-        assert duality_dim_check(InvolutionTriple(4, 2, 3, 1)).passed
+        assert _holds("duality", 1, 4, 2, 3)
 
     def test_unsupported_regime(self):
         with pytest.raises(UnsupportedQuery):
-            duality_dim_check(InvolutionTriple(3, 2, 2, 4))
+            _compare("duality", (4, 3, 2, 2), DEFAULT_MAX_PRECISION_BITS)
 
 
 class TestBottSzenes:
     def test_worked_examples(self):
-        assert bott_szenes_check(2, 1, 2).passed
-        assert bott_szenes_check(2, 3, 2).passed
-        assert bott_szenes_check(3, 3, 3).passed
+        assert _holds("bott-szenes", 2, 2, 0, 1)
+        assert _holds("bott-szenes", 2, 2, 0, 3)
+        assert _holds("bott-szenes", 3, 3, 0, 3)
 
     def test_genus_one_rejected(self):
-        with pytest.raises(ValueError):
-            bott_szenes_check(2, 2, 1)
+        # the identity starts at genus 2, so a genus-1 sweep runs nothing
+        report = grid_sweep("bott-szenes", GridBounds(2, 2, 1, 1, 0))
+        assert report.instances_run == 0 and report.status == "empty"
 
 
 class TestGridSweep:

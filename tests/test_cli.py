@@ -1,5 +1,6 @@
 """CLI tests: output formats, exit codes, JSON round-trips."""
 
+import ast
 import contextlib
 import json
 import os
@@ -375,6 +376,11 @@ class TestImportSurface:
             ("sl_dim", ["dim", "sl", "-g", "2", "-n", "2", "-d", "0", "-k", "3"]),
             ("grid_sweep", ["check", "elliptic", "--max-rank", "2", "--max-level", "2"]),
             ("theta_rescale", ["factor", "rescale", "--rkF", "2", "--rkF0", "1"]),
+            ("gl_dim", ["dim", "gl", "-g", "2", "-n", "3", "-d", "3", "-k", "2"]),
+            ("pullback_split", ["factor", "pullback", "--n1", "2", "--d1", "0",
+                                "--n2", "3", "--rkF", "1"]),
+            ("jacobian_pullback", ["factor", "jacobian", "-g", "2", "-n", "2", "-d", "0"]),
+            ("complementary_invariants", ["factor", "jacobian", "-g", "2", "-n", "2", "-d", "0"]),
         ],
     )
     def test_handlers_call_what_the_module_holds(self, monkeypatch, capsys, name, argv):
@@ -429,6 +435,22 @@ class TestLazyPackage:
             thetadim.no_such_name
         with pytest.raises(AttributeError, match="no_such_name"):
             cli.no_such_name
+
+
+class TestPublicSurface:
+    def test_every_public_name_has_a_caller_in_the_package(self):
+        # names loaded in code, so a mention in a docstring is not a caller
+        package = Path(thetadim.__file__).parent
+        used = set()
+        for path in package.glob("*.py"):
+            if path.name == "__init__.py":
+                continue
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                    used.add(node.id)
+                elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                    used.add(node.attr)
+        assert sorted(set(thetadim.__all__) - used) == []
 
 
 class TestGolden:

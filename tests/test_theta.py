@@ -19,7 +19,6 @@ from thetadim.theta import (
     jacobian_pullback,
     pullback_split,
     theta_rescale,
-    theta_translate,
 )
 
 # Shared degree assignment keeps hypothesis-generated classes consistent.
@@ -33,20 +32,21 @@ line_classes = st.dictionaries(
 class TestFormalLineClass:
     def test_canonical_form_drops_zero_exponents(self):
         cls = FormalLineClass({"A": 0, "B": 2}, {"A": 5, "B": 1})
-        assert cls.exponents == {"B": 2}
         assert cls == FormalLineClass({"B": 2}, {"B": 1})
+        assert cls.format(explicit_exponents=True) == "B^2"
 
     def test_identity(self):
         one = FormalLineClass()
         assert one == FormalLineClass({"L": 0}, {"L": 3})
-        assert one.exponents == {}
+        assert one != FormalLineClass.symbol("L")
         assert one.degree == 0
         assert str(one) == "O"
 
     def test_degree_homomorphism_on_symbols(self):
-        cls = FormalLineClass.symbol("L", degree=3, power=2) * FormalLineClass.symbol(
+        cls = FormalLineClass.symbol("L", degree=3) ** 2 * FormalLineClass.symbol(
             "M", degree=-1
         )
+        assert cls == FormalLineClass({"L": 2, "M": 1}, {"L": 3, "M": -1})
         assert cls.degree == 2 * 3 - 1
 
     def test_multiplication_cancels(self):
@@ -142,30 +142,6 @@ class TestThetaRescale:
             factor, twist = theta_rescale(F, F0)
             assert factor == a
             assert twist.degree == 0
-
-
-class TestThetaTranslate:
-    def test_twist_exponent_is_rank(self):
-        F = ThetaDescriptor(3, FormalLineClass.symbol("detF"))
-        M = FormalLineClass.symbol("M", degree=0)
-        base, twist = theta_translate(F, M)
-        assert base == F
-        assert twist == FormalLineClass({"M": 3})
-
-    def test_identity_twist(self):
-        F = ThetaDescriptor(2, FormalLineClass.symbol("detF"))
-        _, twist = theta_translate(F, FormalLineClass())
-        assert twist == FormalLineClass()
-
-    def test_level_power_multiplies_exponent(self):
-        F = ThetaDescriptor(2, FormalLineClass.symbol("detF"))
-        _, twist = theta_translate(F, FormalLineClass.symbol("M"))
-        assert (twist**3).exponents == {"M": 6}
-
-    def test_nonzero_degree_rejected(self):
-        F = ThetaDescriptor(2, FormalLineClass.symbol("detF"))
-        with pytest.raises(DegreeMismatch):
-            theta_translate(F, FormalLineClass.symbol("M", degree=1))
 
 
 class TestPullbackSplit:
