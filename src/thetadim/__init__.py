@@ -16,6 +16,7 @@ from .intervals import (
     AmbiguousInterval,
     CertificationError,
     CertifiedInterval,
+    CosecantSquaredTerm,
     NoIntegerInInterval,
     SineProductTerm,
     certify_integer,
@@ -83,6 +84,7 @@ __all__ = [
     "CertifiedInterval",
     "CheckFailure",
     "CheckReport",
+    "CosecantSquaredTerm",
     "DEFAULT_MAX_PRECISION_BITS",
     "DegreeMismatch",
     "DimResult",

@@ -21,10 +21,15 @@ profile entries, both rejected before any work, a check whose bounds leave no
 instance to run, reported as EMPTY, and a `factor` precondition the theta
 layer rejects), 3 certification failure, 64 usage error (including an
 unknown check name, a `--max-precision-bits` below 1 and `factor` ranks
-below 1).
+below 1).  The `thetadim` entry point (`run`) restores the default SIGPIPE
+disposition where the platform has one, so a reader that closes stdout
+early (`thetadim table ... | head`) ends the process quietly by that
+signal, as it ends Unix filters, rather than with a traceback and exit 1;
+`main` itself leaves signal handling to its caller.
 """
 
 import argparse
+import signal
 import sys
 from importlib import import_module
 
@@ -341,6 +346,8 @@ def main(argv=None) -> int:
 
 
 def run() -> None:
+    if hasattr(signal, "SIGPIPE"):
+        signal.signal(signal.SIGPIPE, signal.SIG_DFL)
     sys.exit(main())
 
 

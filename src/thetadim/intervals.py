@@ -2,9 +2,11 @@
 
 The kernel encloses sums of the shape
 
-    scale * sum_i  coeff_i * prod_j |2 sin(pi m_ij / M_i)|^(e_ij)
+    scale * sum_i  coeff_i * prod_j  f(m_ij / M_i)^(e_ij)
 
-between exact rational bounds.  The enclosures of pi and of the sine values
+between exact rational bounds, where every factor of a term is of one
+kind: f(t) = |2 sin(pi t)| (`SineProductTerm`) or f(t) = csc^2(pi t)
+(`CosecantSquaredTerm`).  The enclosures of pi and of the sine values
 come from alternating series with explicit tail bounds, evaluated in
 fixed-point integer arithmetic with directed rounding, so the bounds are
 mathematically rigorous.  An interval of width < 1/2 that contains exactly
@@ -12,17 +14,20 @@ one integer is then a proof of that integer value (`certify_integer`).
 
 The sum kernel (`evaluate_sum`) keeps one numeric representation: integer
 lower and upper bounds at a single fixed-point scale 2**-w, with w the
-precision plus guard bits.  Every multiply, power and signed rational
-scalar is floored on the lower bound and ceiled on the upper one,
+precision plus guard bits.  Every multiply, power, reciprocal and signed
+rational scalar is floored on the lower bound and ceiled on the upper one,
 in the manner of Arb's dyadic arithmetic (Johansson, "Arb: efficient
 arbitrary-precision midpoint-radius interval arithmetic", IEEE Trans.
-Computers, 2017); the sine enclosures are dyadic at that scale, so they
-enter exactly.  Each distinct sine power is enclosed once per evaluation.
-The precision is a rung of the ladder 64 * 2**j, and the first rung is
-chosen a priori from a float estimate of the magnitudes and rounding
-count involved, so a sum is normally certified in one precision step;
-doubling remains as the fallback, up to a hard cap.  Floats only choose
-the rung, never an endpoint.
+Computers, 2017).  The sine enclosures are dyadic at that scale, so they
+enter exactly; a csc^2 factor is 4 / x^2 of the sine enclosure x, rounded
+outward at the same scale.  Each sine is fetched once per evaluation and
+precision, and each distinct power once.  A csc^2 factor is >= 1, so its
+rounding errors stay relative to the term, while a sine below 1 carries
+an absolute one.  The precision is a rung of the ladder 64 * 2**j, and the
+first rung is chosen a priori from a float estimate of the magnitudes and
+rounding count involved, so a sum is normally certified in one precision
+step; doubling remains as the fallback, up to a hard cap.  Floats only
+choose the rung, never an endpoint.
 
 Everything here is a pure function of its inputs; the per-precision caches
 are idempotent write-once tables, so concurrent use is safe.
@@ -87,13 +92,13 @@ class CertifiedInterval(namedtuple("CertifiedInterval", "lo hi precision_bits"))
         return self.hi - self.lo
 
 
-class SineProductTerm(namedtuple("SineProductTerm", "modulus factors")):
-    """The product  prod_j |2 sin(pi m_j / M)|^(e_j)  over one modulus M.
+class _FactorTerm(namedtuple("_FactorTerm", "modulus factors")):
+    """A product of powers of one trigonometric factor over one modulus M.
 
-    Offsets are reduced modulo M into (0, M) at construction; the absolute
-    value makes this harmless since |sin(pi x / M)| has period M.  Exponents
-    are nonnegative integers, as are the crossing-profile exponents of the
-    Verlinde sums.  An empty factor list represents the value 1.
+    Offsets are reduced modulo M into (0, M) at construction; every factor
+    is a function of |sin(pi m / M)|, which has period M, so this is
+    harmless.  Exponents are nonnegative integers.  An empty factor list
+    represents the value 1.
     """
 
     __slots__ = ()
@@ -110,6 +115,22 @@ class SineProductTerm(namedtuple("SineProductTerm", "modulus factors")):
                 raise ValueError("exponents must be nonnegative")
             reduced.append((r, e))
         return super().__new__(cls, modulus, tuple(reduced))
+
+
+class SineProductTerm(_FactorTerm):
+    """The product  prod_j |2 sin(pi m_j / M)|^(e_j)  over one modulus M."""
+
+    __slots__ = ()
+
+
+class CosecantSquaredTerm(_FactorTerm):
+    """The product  prod_j csc^2(pi m_j / M)^(e_j)  over one modulus M.
+
+    Every factor is >= 1, so the kernel's fixed-point rounding errors stay
+    relative to the term's value.
+    """
+
+    __slots__ = ()
 
 
 # ---------------------------------------------------------------------------
@@ -254,7 +275,7 @@ def _power_scaled(lo: int, hi: int, e: int, work_bits: int) -> tuple[int, int]:
     return result_lo, result_hi
 
 
-def _times_rational(c: Fraction, lo: int, hi: int) -> tuple[int, int]:
+def _times_rational(c: int | Fraction, lo: int, hi: int) -> tuple[int, int]:
     """Bounds on c * x for x in [lo, hi], at the same scale; c may be negative."""
     p, q = c.numerator, c.denominator
     if p < 0:
@@ -262,7 +283,7 @@ def _times_rational(c: Fraction, lo: int, hi: int) -> tuple[int, int]:
     return (lo * p) // q, -((-hi * p) // q)
 
 
-def _log2_abs(q: Fraction) -> float:
+def _log2_abs(q: int | Fraction) -> float:
     return math.log2(abs(q.numerator)) - math.log2(q.denominator)
 
 
@@ -274,8 +295,19 @@ def _approx(q: Fraction, spec: str) -> str:
         return f"{'-' if q < 0 else ''}2**{_log2_abs(q):.1f}"
 
 
+def _base_estimate(cosecant: bool, modulus: int, m: int) -> tuple[float, float]:
+    """Float estimates, for `_first_rung`, of log2 of a factor's base and of
+    its enclosure's relative error in units of the working scale: a sine
+    x = 2 sin(pi m / M) is about _SINE_ERROR_UNITS units wide, and
+    csc^2 = 4/x^2 doubles its relative error and adds one unit of rounding."""
+    x = 2 * math.sin(math.pi * m / modulus)
+    if cosecant:
+        return 2.0 - 2 * math.log2(x), 2 * _SINE_ERROR_UNITS / x + 1
+    return math.log2(x), _SINE_ERROR_UNITS / x
+
+
 def _first_rung(
-    prepared: Sequence[tuple[Fraction, SineProductTerm]],
+    prepared: Sequence[tuple[int | Fraction, _FactorTerm]],
     scale: Fraction,
     target: Fraction,
     max_bits: int,
@@ -284,26 +316,31 @@ def _first_rung(
     whose working scale is expected to meet the width target.
 
     At scale 2**-w a term's error is about 2**-w times its rounding count,
-    amplified by the product of its factors above 1 (small factors carry
-    an absolute, not a relative, error) and by |coeff| and |scale|.  The
-    sine enclosures' error enters once per unit of exponent, divided by the
-    sine.  Floats only choose the rung: the enclosure itself stays
-    rigorous, and the ladder still doubles if the estimate falls short.
+    amplified by the product of its factors above 1 and by |coeff| and
+    |scale|.  A factor's base enclosure adds its relative error once per
+    unit of exponent.  Factors below 1, which only sine products have,
+    carry an absolute error and are counted as 1.  Floats only choose the
+    rung: the enclosure itself stays rigorous, and the ladder still
+    doubles if the estimate falls short.
     """
-    costs: dict[tuple[int, int, int], tuple[float, float]] = {}
+    costs: dict[tuple[bool, int], dict[tuple[int, int], tuple[float, float]]] = {}
     bounds = []
     for coeff, term in prepared:
         if not coeff:
             continue
+        kind = (isinstance(term, CosecantSquaredTerm), term.modulus)
+        table = costs.get(kind)
+        if table is None:
+            table = costs[kind] = {}
         log_size, roundings = max(_log2_abs(coeff), 0.0), 2.0
-        for m, e in term.factors:
-            key = (m, term.modulus, e)
-            cost = costs.get(key)
+        for factor in term.factors:
+            cost = table.get(factor)
             if cost is None:
-                x = 2 * math.sin(math.pi * m / term.modulus)
-                cost = costs[key] = (
-                    max(e * math.log2(x), 0.0),
-                    e * _SINE_ERROR_UNITS / x + 2 * e.bit_length() + 2,
+                m, e = factor
+                log_base, error_units = _base_estimate(*kind, m)
+                cost = table[factor] = (
+                    max(e * log_base, 0.0),
+                    e * error_units + 2 * e.bit_length() + 2,
                 )
             log_size += cost[0]
             roundings += cost[1]
@@ -319,25 +356,46 @@ def _first_rung(
     return precision
 
 
+def _base_scaled(
+    cosecant: bool, modulus: int, m: int, precision: int, work: int
+) -> tuple[int, int]:
+    """Bounds on a factor's base at scale 2**work: x = 2 sin(pi m / M), or
+    csc^2(pi m / M) = 4 / x^2, floored from x's upper bound and ceiled from
+    its lower one."""
+    lo, hi = _to_scaled(sin_enclosure(m, modulus, precision), work)
+    if not cosecant:
+        return lo, hi
+    numerator = 1 << (3 * work + 2)
+    return numerator // (hi * hi), -(-numerator // (lo * lo))
+
+
 def _sum_scaled(
-    prepared: Sequence[tuple[Fraction, SineProductTerm]], scale: Fraction, precision: int
+    prepared: Sequence[tuple[int | Fraction, _FactorTerm]], scale: Fraction, precision: int
 ) -> tuple[int, int, int]:
     """Bounds (lo, hi, w) with scale * sum(coeff * term) in [lo, hi] / 2**w.
 
-    Each distinct (offset, modulus, exponent) power is enclosed once and
-    shared by every term that uses it.
+    Each distinct base is enclosed once, from one sine enclosure, and each
+    distinct power of it once; both are shared by every term that uses them.
     """
     work = precision + _GUARD_BITS
-    powers: dict[tuple[int, int, int], tuple[int, int]] = {}
+    bases: dict[tuple[bool, int, int], tuple[int, int]] = {}
+    # (kind, modulus) -> {(offset, exponent): power}
+    powers: dict[tuple[bool, int], dict[tuple[int, int], tuple[int, int]]] = {}
     total_lo = total_hi = 0
     for coeff, term in prepared:
+        kind = (isinstance(term, CosecantSquaredTerm), term.modulus)
+        table = powers.get(kind)
+        if table is None:
+            table = powers[kind] = {}
         lo = hi = 1 << work
-        for m, e in term.factors:
-            key = (m, term.modulus, e)
-            power = powers.get(key)
+        for factor in term.factors:
+            power = table.get(factor)
             if power is None:
-                s_lo, s_hi = _to_scaled(sin_enclosure(m, term.modulus, precision), work)
-                power = powers[key] = _power_scaled(s_lo, s_hi, e, work)
+                m, e = factor
+                base = bases.get((*kind, m))
+                if base is None:
+                    base = bases[(*kind, m)] = _base_scaled(*kind, m, precision, work)
+                power = table[factor] = _power_scaled(*base, e, work)
             lo = (lo * power[0]) >> work
             hi = -((-hi * power[1]) >> work)
         lo, hi = _times_rational(coeff, lo, hi)
@@ -347,7 +405,7 @@ def _sum_scaled(
 
 
 def evaluate_sum(
-    terms: Iterable[tuple[Fraction, SineProductTerm]],
+    terms: Iterable[tuple[int | Fraction, _FactorTerm]],
     scale: Fraction,
     target_width: Fraction,
     *,
@@ -359,8 +417,8 @@ def evaluate_sum(
     a priori estimate expects to meet the target (see `_first_rung`); the
     precision doubles from there only if it does not, and exceeding
     `max_bits` raises CertificationError.  The result's `precision_bits` is
-    the rung that met the target.  An empty term list yields the exact
-    interval [0, 0].
+    the rung that met the target.  Coefficients are ints or Fractions.  An
+    empty term list yields the exact interval [0, 0].
     """
     scale = Fraction(scale)
     target = Fraction(target_width)
@@ -368,17 +426,16 @@ def evaluate_sum(
         raise ValueError("target_width must be positive")
     if max_bits < 1:
         raise ValueError("max_bits must be positive")
-    prepared = [(Fraction(coeff), term) for coeff, term in terms]
+    prepared = list(terms)
 
     precision = _first_rung(prepared, scale, target, max_bits)
     while True:
         lo, hi, work = _sum_scaled(prepared, scale, precision)
-        width = Fraction(hi - lo, 1 << work)
-        if width <= target:
+        if (hi - lo) * target.denominator <= target.numerator << work:
             return CertifiedInterval(Fraction(lo, 1 << work), Fraction(hi, 1 << work), precision)
         if precision >= max_bits:
             raise CertificationError(
-                f"width {_approx(width, '.3g')} exceeds target {target} "
+                f"width {_approx(Fraction(hi - lo, 1 << work), '.3g')} exceeds target {target} "
                 f"at the precision cap ({max_bits} bits)"
             )
         precision = min(2 * precision, max_bits)

@@ -18,9 +18,11 @@ from collections import Counter, namedtuple
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
+from operator import add
 
 from .intervals import (
     DEFAULT_MAX_PRECISION_BITS,
+    CosecantSquaredTerm,
     SineProductTerm,
     certify_integer,
     evaluate_sum,
@@ -38,10 +40,14 @@ MAX_SUM_TERMS = 100_000
 
 #: Largest enumeration work that `beauville_sum` accepts at genus >= 2:
 #: C(n+k-1, n-1) subsets times, for each, its C(n, 2) pair updates plus the
-#: floor((n+k)/2) + 1 entries of the crossing profile it copies and keys.
+#: floor((n+k)/2) + 1 entries of a dense pair-offset profile.  The
+#: prefix-shared walk of `reduced_sum_terms` does less than this, since a
+#: prefix's pairs are added once for all its subsets and a profile is one
+#: packed integer, so the bound is kept as a conservative count of the
+#: walk.
 #: Beyond it the query is rejected as unsupported before any term is built.
 #: The pairs grow like n^3 at level 1, where the subset count alone is only
-#: n; the profile copies grow like k^2 at rank 2, where there is one pair.
+#: n; the profile entries grow like k^2 at rank 2, where there is one pair.
 MAX_PAIR_UPDATES = 50_000_000
 
 
@@ -117,38 +123,37 @@ def verlinde_sum_terms(
 
 def reduced_sum_terms(
     g: int, n: int, k: int
-) -> tuple[list[tuple[Fraction, SineProductTerm]], Fraction]:
+) -> tuple[list[tuple[int, CosecantSquaredTerm]], Fraction]:
     """The same sum as `verlinde_sum_terms`, reduced by two exact identities
-    and grouped by crossing profile.
+    to products of csc^2 factors and grouped by pair-offset profile.
 
-    With M = n + k and x_d = |2 sin(pi d/M)|, this is the SU(n) alcove form
-    of the Verlinde sum (Beauville, "Conformal blocks, fusion rules and the
-    Verlinde formula", 1996):
+    With M = n + k, x_d = |2 sin(pi d/M)| and z_d = csc^2(pi d/M) = 4/x_d^2,
+    this is the SU(n) alcove form S_{0,lambda}^(2-2g) of the Verlinde sum
+    (Beauville, "Conformal blocks, fusion rules and the Verlinde formula",
+    1996):
 
     * terms are invariant under S -> S + 1 mod M, so the sum over all
       subsets is M/n times the sum over the C(M-1, n-1) subsets that
       contain M;
     * prod_{t != s} x_(s-t) = M for every s, so a term's product over
       s in S, t not in S equals M^(n(g-1)) * prod_{s < s' in S}
-      x_(s'-s)^(-2(g-1)).
+      x_(s'-s)^(-2(g-1)), and x^(-2) = z/4.
 
-    Since x_d = x_(M-d), a term is a product over the folded offsets
-    d <= M/2 only.  Writing M^(n(g-1)) back as the product of all sines
-    (the second identity summed over the circle) and merging equal offsets
-    gives x_d the exponent (g-1)(n*m_d - 2c_d), where c_d counts the pairs
-    of S at folded offset d and m_d = 2 (1 when 2d = M) counts the offsets
-    that fold onto d.  That exponent is never negative: it counts the
-    pairs s in S, t not in S at offset d, the subset's crossing profile.
-    Keeping M^(n(g-1)) as an exact coefficient instead would multiply a
-    huge constant into tiny negative sine powers, which a fixed-point scale
-    resolves only in absolute terms, so the working precision would have
-    to cover the constant's bits rather than the value's.
+    Since z_d = z_(M-d), a term is a product over the folded offsets
+    d <= M/2 only: prod_d z_d^((g-1) c_d), where c_d counts the pairs
+    s < s' of S at folded offset d, and every factor is >= 1.  Together,
 
-    A term depends on its subset only through the crossing profile, so one
-    term is returned per distinct profile, with coefficient multiplicity *
-    M/n; the coefficients sum to (M/n) * C(M-1, n-1).  At genus 1 every
-    term is the empty product, so the single term (M/n) * C(M-1, n-1) is
-    returned without enumerating subsets.  The scale is (n/M)^g.
+        s_g = (n M^(n-1))^(g-1) * 4^(-(g-1) C(n,2)) * sum_S prod_d z_d^((g-1) c_d).
+
+    A term depends on its subset only through the pair-offset profile
+    (c_d), so one term is returned per distinct profile, with its integer
+    multiplicity as coefficient; the coefficients sum to C(M-1, n-1).  The
+    profiles come from a walk over the subsets, one element at a time, in
+    which each new element adds its pairs to its prefix's counts, so the
+    pairs of a prefix are counted once for all the subsets that share it.
+    At genus 1 every term is the empty product, and at rank 1 the one
+    subset {M} has no pairs, so the single term C(M-1, n-1) is returned
+    without enumerating subsets.  The scale is the exact rational above.
 
     The symmetry S -> complement of S is deliberately not used: it would
     turn s(n, 0, k) and s(k, 0, n) into one computation and make the
@@ -157,38 +162,52 @@ def reduced_sum_terms(
     if g < 1 or n < 1 or k < 1:
         raise ValueError("genus, rank and level must all be >= 1")
     modulus = n + k
-    coeff = Fraction(modulus, n)
-    scale = Fraction(n, modulus) ** g
-    if g == 1:
-        return [(coeff * math.comb(modulus - 1, n - 1), SineProductTerm(modulus, ()))], scale
-    fold = [min(d, modulus - d) for d in range(modulus)]
-    # n * m_d counts the pairs (s in S, t anywhere) at folded offset d; each
-    # pair inside S is then removed in both orders.
-    base = [0] + [n * (1 if 2 * d == modulus else 2) for d in range(1, modulus // 2 + 1)]
-    profiles: Counter[tuple[int, ...]] = Counter()
-    for rest in combinations(range(1, modulus), n - 1):
-        subset = rest + (modulus,)
-        crossing = base[:]
-        for i, s in enumerate(subset):
-            for t in subset[i + 1:]:
-                crossing[fold[t - s]] -= 2
-        profiles[tuple(crossing)] += 1
-    terms = [
-        (
-            coeff * multiplicity,
-            SineProductTerm(modulus, tuple((d, (g - 1) * c) for d, c in enumerate(crossing) if c)),
-        )
-        for crossing, multiplicity in profiles.items()
-    ]
+    scale = Fraction(n * modulus ** (n - 1), 4 ** math.comb(n, 2)) ** (g - 1)
+    if g == 1 or n == 1:
+        return [(math.comb(modulus - 1, n - 1), CosecantSquaredTerm(modulus, ()))], scale
+    # A profile is packed into one integer, c_d in the digit of `width`
+    # bits at position d.  A count never exceeds the C(n, 2) pairs, nor n,
+    # since each element of S has at most two partners at offset d.
+    width = min(n, math.comb(n, 2)).bit_length()
+    mask = (1 << width) - 1
+    # step[j - 1] packs one pair at offset j, for 0 < j < M
+    step = [1 << (width * min(j, modulus - j)) for j in range(1, modulus)]
+    leaves: list[int] = []
+
+    def walk(key: int, pending: list[int], left: int) -> None:
+        # Depth first, one element at a time in increasing order: `key`
+        # packs the pairs among the prefix and M, `left` elements remain to
+        # be chosen, and pending[i] packs the pairs that the prefix's i-th
+        # candidate for the next element would add.  The candidates after
+        # it each get one more pair, with the element just added.  Within
+        # MAX_PAIR_UPDATES the recursion is at most 463 deep (rank 464,
+        # level 1).
+        if left == 1:
+            leaves.extend([key + p for p in pending])
+            return
+        for i in range(len(pending) - left + 1):
+            walk(key + pending[i], list(map(add, pending[i + 1:], step)), left - 1)
+
+    walk(0, step, n - 1)
+    terms = []
+    for key, multiplicity in Counter(leaves).items():
+        factors = []
+        while key:
+            d = ((key & -key).bit_length() - 1) // width
+            c = (key >> (width * d)) & mask
+            key -= c << (width * d)
+            factors.append((d, (g - 1) * c))
+        # offsets 0 < d <= M/2 and exponents >= 1 need no reduction or check
+        terms.append((multiplicity, CosecantSquaredTerm._make((modulus, tuple(factors)))))
     return terms, scale
 
 
 @lru_cache(maxsize=None)
 def _certified_sum_value(g: int, n: int, k: int, max_bits: int) -> int:
-    """The certified reduced sum, or UnsupportedQuery when the work is too
+    """The certified pair-form sum, or UnsupportedQuery when the work is too
     large: the subset count is checked first, then, where subsets are
     enumerated (genus >= 2), the subsets times the pairs and profile
-    entries of each."""
+    entries of each (`MAX_PAIR_UPDATES`)."""
     count = math.comb(n + k - 1, n - 1)
     if count > MAX_SUM_TERMS:
         raise UnsupportedQuery(
@@ -213,11 +232,11 @@ def beauville_sum(
 
     This is the level-k dimension on the fixed-determinant moduli space of
     rank n and degree 0 mod n.  It evaluates `reduced_sum_terms` on the
-    integer fixed-point kernel, one term per crossing profile, whose first
-    precision is chosen a priori, so the sum is normally certified in one
-    precision step.  A sum over more than MAX_SUM_TERMS subsets, or at
-    genus >= 2 of more than MAX_PAIR_UPDATES pair updates and profile
-    entries, raises UnsupportedQuery before any term is built.
+    integer fixed-point kernel, one csc^2 product per pair-offset profile,
+    whose first precision is chosen a priori, so the sum is normally
+    certified in one precision step.  A sum over more than MAX_SUM_TERMS
+    subsets, or at genus >= 2 of more than MAX_PAIR_UPDATES pair updates
+    and profile entries, raises UnsupportedQuery before any term is built.
     """
     return DimResult(_certified_sum_value(g, n, k, max_precision_bits), METHOD_TRIG, True)
 

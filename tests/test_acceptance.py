@@ -20,6 +20,7 @@ from thetadim.checks import GridBounds, InvolutionTriple, _compare, grid_sweep, 
 from thetadim.cli import main
 from thetadim.intervals import (
     DEFAULT_MAX_PRECISION_BITS,
+    CosecantSquaredTerm,
     NoIntegerInInterval,
     SineProductTerm,
     _first_rung,
@@ -221,7 +222,7 @@ def test_reduced_and_reference_paths_certify_the_same_integers():
         for g, n, k in sorted(cells):
             terms, scale = reduced_sum_terms(g, n, k)
             # every subset containing n + k counted once, each profile once
-            assert sum(c for c, _ in terms) == Fraction(n + k, n) * math.comb(n + k - 1, n - 1)
+            assert sum(c for c, _ in terms) == math.comb(n + k - 1, n - 1)
             assert len({t.factors for _, t in terms}) == len(terms)
             reduced, _ = _certify_at_first_rung(terms, scale)
             reference, _ = _certify_at_first_rung(*verlinde_sum_terms(g, n, k))
@@ -229,32 +230,32 @@ def test_reduced_and_reference_paths_certify_the_same_integers():
 
 
 def _grouped_by_definition(g, n, k):
-    """{factors: total coefficient} of the reduced sum, with each subset's
-    crossing profile counted directly: pairs s in S, t not in S, by folded
-    offset."""
+    """{factors: multiplicity} of the pair form, with each subset's pairs
+    s < s' counted directly by folded offset."""
     modulus = n + k
     grouped = {}
     for rest in itertools.combinations(range(1, modulus), n - 1):
-        inside = set(rest + (modulus,))
-        crossing = {}
-        for s in inside:
-            for t in range(1, modulus + 1):
-                if t not in inside:
-                    d = min((s - t) % modulus, (t - s) % modulus)
-                    crossing[d] = crossing.get(d, 0) + 1
-        factors = tuple(sorted((d, (g - 1) * c) for d, c in crossing.items())) if g > 1 else ()
-        grouped[factors] = grouped.get(factors, 0) + Fraction(modulus, n)
+        pairs = {}
+        for s, t in itertools.combinations(rest + (modulus,), 2):
+            d = min(t - s, modulus - (t - s))
+            pairs[d] = pairs.get(d, 0) + 1
+        factors = tuple(sorted((d, (g - 1) * c) for d, c in pairs.items())) if g > 1 else ()
+        grouped[factors] = grouped.get(factors, 0) + 1
     return grouped
 
 
-def test_reduced_terms_group_subsets_by_crossing_profile():
+def test_reduced_terms_group_subsets_by_pair_offsets():
     # exact, no trigonometry: the grouped terms equal a brute-force grouping
-    # of the subsets by their crossing profile
+    # of the subsets containing n + k by their pair-offset counts
     for g, n, k in _trig_queries_from_criteria_1_to_5():
+        modulus = n + k
         terms, scale = reduced_sum_terms(g, n, k)
         assert {t.factors: c for c, t in terms} == _grouped_by_definition(g, n, k), (g, n, k)
-        assert all(t.modulus == n + k for _, t in terms)
-        assert scale == Fraction(n, n + k) ** g
+        assert sum(c for c, _ in terms) == math.comb(modulus - 1, n - 1)
+        assert all(type(t) is CosecantSquaredTerm and t.modulus == modulus for _, t in terms)
+        assert scale == Fraction(
+            (n * modulus ** (n - 1)) ** (g - 1), 4 ** ((g - 1) * math.comb(n, 2))
+        )
 
 
 @pytest.mark.parametrize("g,n,k", [(12, 5, 5), (30, 3, 2), (60, 4, 1), (96, 4, 1)])
@@ -272,7 +273,7 @@ def test_reduced_path_negative_control():
         for g, n, k in ((2, 2, 1), (2, 2, 2), (2, 3, 1)):
             terms, scale = reduced_sum_terms(g, n, k)
             corrupted = [
-                (coeff, SineProductTerm(term.modulus + 1, term.factors))
+                (coeff, type(term)(term.modulus + 1, term.factors))
                 for coeff, term in terms
             ]
             try:

@@ -5,6 +5,7 @@ import contextlib
 import json
 import os
 import resource
+import signal
 import subprocess
 import sys
 import time
@@ -301,9 +302,9 @@ class TestWorkBound:
 
     def test_rank_two_profile_copies_fail_fast(self):
         # 100,000 subsets of one pair each pass both the subset bound and a
-        # pair count, but each copies and keys a 50,001-entry crossing
-        # profile.  The address-space limit turns a regression into a
-        # MemoryError in the child instead of about 20 GB of profiles.
+        # pair count, but the work bound also counts a 50,001-entry profile
+        # per subset.  The address-space limit turns a regression into a
+        # MemoryError in the child instead of an unbounded walk.
         def limit_memory():
             resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
 
@@ -319,6 +320,28 @@ class TestWorkBound:
         assert proc.stdout == ""
         assert "profile entries" in proc.stderr and "Traceback" not in proc.stderr
         assert elapsed < 1.0, f"took {elapsed:.3f}s"
+
+
+class TestClosedStdout:
+    @pytest.mark.skipif(not hasattr(signal, "SIGPIPE"), reason="no SIGPIPE on this platform")
+    def test_reader_closing_early_ends_the_process_by_sigpipe(self):
+        # 2**300000 has 90,309 digits, more than a pipe buffer holds, so the
+        # write is still pending when the reader closes after one byte
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "thetadim.cli", "dim", "gl", "-g", "300000", "-n", "1",
+             "-d", "0", "-k", "2"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_env_with_src(),
+        )
+        try:
+            assert proc.stdout.read(1) == b"9"
+            proc.stdout.close()
+            code = proc.wait(timeout=30)
+            stderr = proc.stderr.read().decode()
+        finally:
+            proc.kill()
+            proc.stderr.close()
+        assert "Traceback" not in stderr
+        assert code == -signal.SIGPIPE
 
 
 def _in_fresh_interpreter(code):

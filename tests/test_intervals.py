@@ -11,9 +11,11 @@ from thetadim.intervals import (
     AmbiguousInterval,
     CertificationError,
     CertifiedInterval,
+    CosecantSquaredTerm,
     NoIntegerInInterval,
     SineProductTerm,
     _GUARD_BITS,
+    _base_scaled,
     _first_rung,
     _pi_scaled,
     _sum_scaled,
@@ -167,15 +169,17 @@ class TestEvaluateSum:
         factor = st.tuples(st.integers(1, modulus - 1), st.integers(0, 4))
         term = st.tuples(
             st.fractions(min_value=-6, max_value=6, max_denominator=5),
+            st.sampled_from([SineProductTerm, CosecantSquaredTerm]),
             st.lists(factor, max_size=3),
         )
         drawn = data.draw(st.lists(term, min_size=1, max_size=4))
-        terms = [(coeff, SineProductTerm(modulus, tuple(factors))) for coeff, factors in drawn]
+        terms = [(coeff, kind(modulus, tuple(factors))) for coeff, kind, factors in drawn]
         oracle = Fraction(0)
-        for coeff, factors in drawn:
+        for coeff, kind, factors in drawn:
             value = Fraction(coeff)
             for m, e in factors:
-                value *= two_sin_fraction(m, modulus, dps=120) ** e
+                x = two_sin_fraction(m, modulus, dps=120)
+                value *= (x if kind is SineProductTerm else 4 / x**2) ** e
             oracle += value
         oracle *= scale
         iv = evaluate_sum(terms, scale, Fraction(1, 2**20))
@@ -203,6 +207,37 @@ class TestEvaluateSum:
             _pi_scaled.cache_clear()
         assert iv.precision_bits == 256
         assert requested == [256, 256, 256]
+
+    def test_cosecant_sum_fetches_each_sine_once_per_rung(self, monkeypatch):
+        # offsets 1 and 4 appear with several exponents
+        terms = [
+            (1, CosecantSquaredTerm(9, ((1, 2), (2, 1)))),
+            (3, CosecantSquaredTerm(9, ((1, 5), (4, 1)))),
+            (2, CosecantSquaredTerm(9, ((1, 2), (4, 3)))),
+        ]
+        original = intervals.sin_enclosure
+        requested = []
+
+        def counting(m, modulus, precision_bits):
+            requested.append((m, precision_bits))
+            return original(m, modulus, precision_bits)
+
+        monkeypatch.setattr(intervals, "sin_enclosure", counting)
+        _sum_scaled(terms, Fraction(1), 64)
+        _sum_scaled(terms, Fraction(1), 128)
+        assert sorted(requested) == [(1, 64), (1, 128), (2, 64), (2, 128), (4, 64), (4, 128)]
+
+    def test_cosecant_factors_are_at_least_one_at_every_lookup_rung(self):
+        # the lookup cells have moduli n + k <= 16 and certify at 64, 128
+        # or 256 bits; csc^2 >= 1 keeps every rounding error relative
+        for bits in (64, 128, 256):
+            work = bits + _GUARD_BITS
+            for modulus in range(2, 17):
+                for m in range(1, modulus):
+                    lo, hi = _base_scaled(True, modulus, m, bits, work)
+                    assert 1 << work <= lo <= hi, (bits, modulus, m)
+                    if 2 * m == modulus:
+                        assert lo == hi == 1 << work
 
     def test_width_shrinks_when_precision_doubles(self):
         term = SineProductTerm(7, ((1, 1), (2, 1), (3, 1)))

@@ -4,8 +4,10 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from thetadim.intervals import SineProductTerm
+from thetadim.intervals import CosecantSquaredTerm, certify_integer, evaluate_sum
 from thetadim.verlinde import (
     METHOD_ELLIPTIC,
     METHOD_RANK_ONE,
@@ -82,10 +84,24 @@ class TestBeauvilleSum:
     def test_against_live_oracle(self, g, n, k):
         assert beauville_sum(g, n, k).value == brute_force_sum(g, n, k)
 
+    @given(
+        g=st.integers(1, 6),
+        nk=st.integers(2, 8).flatmap(lambda n: st.tuples(st.just(n), st.integers(1, 9 - n))),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_pair_form_equals_unreduced_reference(self, g, nk):
+        # the reference sums all n-subsets of Z/(n + k) as sine products and
+        # shares no reduction with the pair form behind beauville_sum
+        n, k = nk
+        reference = certify_integer(evaluate_sum(*verlinde_sum_terms(g, n, k), Fraction(1, 4)))
+        assert beauville_sum(g, n, k).value == reference
+
     def test_genus_one_is_one_term(self):
+        # the C(4, 2) subsets containing 5, each an empty product, at scale 1
         terms, scale = reduced_sum_terms(1, 3, 2)
-        assert terms == [(Fraction(10), SineProductTerm(5, ()))]
-        assert scale == Fraction(3, 5)
+        assert terms == [(6, CosecantSquaredTerm(5, ()))]
+        assert type(terms[0][1]) is CosecantSquaredTerm
+        assert scale == 1
 
     def test_work_bounds(self):
         # the subset count is checked first; the pair work only where
