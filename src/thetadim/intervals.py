@@ -9,8 +9,13 @@ kind: f(t) = |2 sin(pi t)| (`SineProductTerm`) or f(t) = csc^2(pi t)
 (`CosecantSquaredTerm`).  The enclosures of pi and of the sine values
 come from alternating series with explicit tail bounds, evaluated in
 fixed-point integer arithmetic with directed rounding, so the bounds are
-mathematically rigorous.  An interval of width < 1/2 that contains exactly
-one integer is then a proof of that integer value (`certify_integer`).
+mathematically rigorous.  Each series runs a few bits past its target
+scale and is rounded outward once, so pi is at most 2 units of that scale
+wide.  A sine costs one series, at the lower end of the angle interval
+that pi's enclosure gives; the 1-Lipschitz bound sin(b) <= sin(a) + (b - a)
+covers the upper end, and the enclosure of 2 sin is at most 4 units wide.
+An interval of width < 1/2 that contains exactly one integer is then a
+proof of that integer value (`certify_integer`).
 
 The sum kernel (`evaluate_sum`) keeps one numeric representation: integer
 lower and upper bounds at a single fixed-point scale 2**-w, with w the
@@ -27,7 +32,11 @@ an absolute one.  The precision is a rung of the ladder 64 * 2**j, and the
 first rung is chosen a priori from a float estimate of the magnitudes and
 rounding count involved, so a sum is normally certified in one precision
 step; doubling remains as the fallback, up to a hard cap.  Floats only
-choose the rung, never an endpoint.
+choose the rung, never an endpoint.  No Fraction is built for the
+kernel's own use: the caller's int or Fraction scale and target enter as
+given, the only Fractions made are the endpoints of the intervals returned
+(sine enclosures and sums), which skip re-validation, and `certify_integer`
+decides on their numerators and denominators.
 
 Everything here is a pure function of its inputs; the per-precision caches
 are idempotent write-once tables, so concurrent use is safe.
@@ -42,16 +51,24 @@ from functools import lru_cache
 _START_BITS = 64
 DEFAULT_MAX_PRECISION_BITS = 16384
 
-# Extra working bits beyond the requested precision.  The fixed-point series
-# loops accumulate at most a few thousand unit roundings even at the deepest
-# precision, so 32 guard bits leave the final width far below 2**(1 - prec).
-# The sum kernel works at the same scale, so the sine bounds enter it exactly.
+# Extra working bits beyond the requested precision: the sum kernel and the
+# sine enclosures work at the scale 2**-(prec + 32), so a sine enclosure, at
+# most 4 units of that scale wide, is far narrower than 2**-prec.  The sine
+# bounds are dyadic at the kernel's scale, so they enter it exactly.
 _GUARD_BITS = 32
 
+# Bits past their target scale at which pi and a sine series run before
+# their single outward rounding; the series' own roundings then stay below
+# one unit of the target scale (see `_pi_scaled` and `sin_enclosure`).
+_PI_EXTRA_BITS = 16
+_SINE_EXTRA_BITS = 12
+
 # Inputs to the a priori precision estimate (`_first_rung`): a sine
-# enclosure's width in units of its working scale is a few units (8 is an
-# over-estimate), and a few bits of margin absorb the crudeness of the
-# rounding count.  They only choose the first precision, never a bound.
+# enclosure's width in units of its working scale, and a few bits of margin
+# for the crudeness of the rounding count.  The true width is at most 4
+# units; 8 is kept because it only chooses the first precision, never a
+# bound, and lowering it moves rungs: (90, 3, 1) would start at 128 bits
+# instead of 256.
 _SINE_ERROR_UNITS = 8
 _MARGIN_BITS = 4
 
@@ -142,15 +159,18 @@ def _arctan_inv_scaled(x: int, work_bits: int) -> tuple[int, int]:
 
     Each term a_k = 1/((2k+1) x^(2k+1)) is enclosed by its floor at the
     working scale, and the alternating tail is below the first term with
-    floor zero, so widening by one unit covers it.
+    floor zero, so widening by one unit covers it.  The floor is taken as
+    floor(q_k / (2k+1)) of the running quotient q_k = floor(2**work_bits /
+    x^(2k+1)), q_(k+1) = floor(q_k / x^2): floors of positive integers
+    nest, so every division is by a small integer.
     """
-    scale = 1 << work_bits
+    quotient = (1 << work_bits) // x
+    x_squared = x * x
     lo = hi = 0
-    power = x  # x**(2k+1)
     k = 0
     positive = True
     while True:
-        term = scale // ((2 * k + 1) * power)
+        term = quotient // (2 * k + 1)
         if positive:
             lo += term
             hi += term + 1
@@ -159,17 +179,29 @@ def _arctan_inv_scaled(x: int, work_bits: int) -> tuple[int, int]:
             hi -= term
         if term == 0:
             return lo - 1, hi + 1
-        power *= x * x
+        quotient //= x_squared
         k += 1
         positive = not positive
 
 
 @lru_cache(maxsize=None)
 def _pi_scaled(work_bits: int) -> tuple[int, int]:
-    """Integer bounds with pi in [lo, hi] / 2**work_bits."""
-    a5_lo, a5_hi = _arctan_inv_scaled(5, work_bits)
-    a239_lo, a239_hi = _arctan_inv_scaled(239, work_bits)
-    return 16 * a5_lo - 4 * a239_hi, 16 * a5_hi - 4 * a239_lo
+    """Integer bounds with pi in [lo, hi] / 2**work_bits, at most 2 units apart.
+
+    Both arctan series run _PI_EXTRA_BITS past the scale, and their
+    combination is rounded outward once.  The series' roundings add up to
+    about 3.7 units per working bit (16 times those of arctan(1/5)), below
+    2**_PI_EXTRA_BITS for every scale up to about 17,000 bits, which covers
+    the default precision cap; there the final rounding leaves at most 2
+    units.  Wider scales stay rigorous with a few more.
+    """
+    fine = work_bits + _PI_EXTRA_BITS
+    a5_lo, a5_hi = _arctan_inv_scaled(5, fine)
+    a239_lo, a239_hi = _arctan_inv_scaled(239, fine)
+    return (
+        (16 * a5_lo - 4 * a239_hi) >> _PI_EXTRA_BITS,
+        -((4 * a239_lo - 16 * a5_hi) >> _PI_EXTRA_BITS),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -184,7 +216,8 @@ def _sin_series_scaled(num: int, den: int, work_bits: int) -> tuple[int, int]:
     strictly (the term ratio is t^2/((2k+2)(2k+3)) <= 4/6), so the series
     alternates with a tail bounded by the first omitted term.  Terms are
     propagated by the recurrence T_{k+1} = T_k * t^2 / ((2k+2)(2k+3)) with
-    floor/ceil rounding.
+    floor/ceil rounding, the shift by the scale first: floors (and ceilings)
+    of positive integers nest, so the division is by a small integer.
     """
     if den < 1 or not 0 <= num <= den << (work_bits + 1):
         raise ValueError("series argument must lie in [0, 2]")
@@ -203,9 +236,9 @@ def _sin_series_scaled(num: int, den: int, work_bits: int) -> tuple[int, int]:
         else:
             total_lo -= term_hi
             total_hi -= term_lo
-        divisor = ((2 * k + 2) * (2 * k + 3)) << work_bits
-        next_lo = (term_lo * y_lo) // divisor
-        next_hi = -((-(term_hi * y_hi)) // divisor)
+        divisor = (2 * k + 2) * (2 * k + 3)
+        next_lo = ((term_lo * y_lo) >> work_bits) // divisor
+        next_hi = -((-(term_hi * y_hi) >> work_bits) // divisor)
         if next_hi <= 1:
             # The next term, hence the whole tail, is below one scaled unit.
             return total_lo - next_hi, total_hi + next_hi
@@ -218,7 +251,19 @@ def _sin_series_scaled(num: int, den: int, work_bits: int) -> tuple[int, int]:
 def sin_enclosure(m: int, modulus: int, precision_bits: int) -> CertifiedInterval:
     """Certified enclosure of 2*sin(pi*m/modulus) for 0 < m < modulus.
 
-    The width is at most 2**(1 - precision_bits).
+    The bounds are dyadic at the working scale 2**-w, w = precision_bits +
+    _GUARD_BITS, and at most 4 units of it apart, i.e. the width is at most
+    2**(2 - w), at every precision up to the default cap (see `_pi_scaled`).
+
+    One Taylor series runs, _SINE_EXTRA_BITS past the working scale, at the
+    lower end a = pi_lo * f / modulus of the angle interval [a, b] that
+    pi's enclosure [pi_lo, pi_hi] gives, with f = min(m, modulus - m).  The
+    angle pi * f / modulus is below pi/2, and sin increases from 0 to it,
+    so sin(a) bounds it below; sin is 1-Lipschitz, so sin(a) + (b - a)
+    bounds it above, with b - a rounded up.  The series' roundings and
+    b - a stay below one unit of the working scale, and rounding the
+    bounds outward to it leaves at most 2 units for the sine, 4 for twice
+    the sine.
     """
     if precision_bits < 1:
         raise ValueError("precision_bits must be positive")
@@ -228,19 +273,23 @@ def sin_enclosure(m: int, modulus: int, precision_bits: int) -> CertifiedInterva
     folded = min(m, modulus - m)  # sin(pi - x) = sin(x)
     if 2 * folded == modulus:
         # Exact half turn: 2 sin(pi/2) = 2.
-        return CertifiedInterval(Fraction(2), Fraction(2), precision_bits)
+        return CertifiedInterval._make((Fraction(2), Fraction(2), precision_bits))
 
     work = precision_bits + _GUARD_BITS
-    scale = 1 << work
-    pi_lo, pi_hi = _pi_scaled(work)
-    # The angle interval [pi_lo, pi_hi] * folded / (modulus * scale) must lie
-    # inside (0, pi/2) so that sin is increasing on it; since 2*folded <
-    # modulus this only fails for moduli beyond ~2**(work - 2).
-    if 2 * folded * pi_hi > modulus * pi_lo:
+    fine = work + _SINE_EXTRA_BITS
+    pi_lo, pi_hi = _pi_scaled(fine)
+    sin_lo, sin_hi = _sin_series_scaled(pi_lo * folded, modulus, fine)
+    sin_hi += -(-(pi_hi - pi_lo) * folded // modulus)
+    lo = sin_lo >> _SINE_EXTRA_BITS
+    hi = -((-sin_hi) >> _SINE_EXTRA_BITS)
+    if lo <= 0:
+        # The kernel divides by the lower bound; only moduli beyond about
+        # 2**w leave it at zero.
         raise ValueError("modulus too large for this working precision")
-    sin_lo, _ = _sin_series_scaled(pi_lo * folded, modulus, work)
-    _, sin_hi = _sin_series_scaled(pi_hi * folded, modulus, work)
-    return CertifiedInterval(Fraction(2 * sin_lo, scale), Fraction(2 * sin_hi, scale), precision_bits)
+    scale = 1 << work
+    return CertifiedInterval._make(
+        (Fraction(2 * lo, scale), Fraction(2 * hi, scale), precision_bits)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -298,7 +347,7 @@ def _approx(q: Fraction, spec: str) -> str:
 def _base_estimate(cosecant: bool, modulus: int, m: int) -> tuple[float, float]:
     """Float estimates, for `_first_rung`, of log2 of a factor's base and of
     its enclosure's relative error in units of the working scale: a sine
-    x = 2 sin(pi m / M) is about _SINE_ERROR_UNITS units wide, and
+    x = 2 sin(pi m / M) is counted as _SINE_ERROR_UNITS units wide, and
     csc^2 = 4/x^2 doubles its relative error and adds one unit of rounding."""
     x = 2 * math.sin(math.pi * m / modulus)
     if cosecant:
@@ -308,8 +357,8 @@ def _base_estimate(cosecant: bool, modulus: int, m: int) -> tuple[float, float]:
 
 def _first_rung(
     prepared: Sequence[tuple[int | Fraction, _FactorTerm]],
-    scale: Fraction,
-    target: Fraction,
+    scale: int | Fraction,
+    target: int | Fraction,
     max_bits: int,
 ) -> int:
     """The first rung of the ladder 64 * 2**j (capped at max_bits)
@@ -370,7 +419,7 @@ def _base_scaled(
 
 
 def _sum_scaled(
-    prepared: Sequence[tuple[int | Fraction, _FactorTerm]], scale: Fraction, precision: int
+    prepared: Sequence[tuple[int | Fraction, _FactorTerm]], scale: int | Fraction, precision: int
 ) -> tuple[int, int, int]:
     """Bounds (lo, hi, w) with scale * sum(coeff * term) in [lo, hi] / 2**w.
 
@@ -406,8 +455,8 @@ def _sum_scaled(
 
 def evaluate_sum(
     terms: Iterable[tuple[int | Fraction, _FactorTerm]],
-    scale: Fraction,
-    target_width: Fraction,
+    scale: int | Fraction,
+    target_width: int | Fraction,
     *,
     max_bits: int = DEFAULT_MAX_PRECISION_BITS,
 ) -> CertifiedInterval:
@@ -417,26 +466,28 @@ def evaluate_sum(
     a priori estimate expects to meet the target (see `_first_rung`); the
     precision doubles from there only if it does not, and exceeding
     `max_bits` raises CertificationError.  The result's `precision_bits` is
-    the rung that met the target.  Coefficients are ints or Fractions.  An
-    empty term list yields the exact interval [0, 0].
+    the rung that met the target.  Coefficients, the scale and the target
+    width are ints or Fractions, used as given without coercion.  An empty
+    term list yields the exact interval [0, 0].
     """
-    scale = Fraction(scale)
-    target = Fraction(target_width)
-    if target <= 0:
+    if target_width <= 0:
         raise ValueError("target_width must be positive")
     if max_bits < 1:
         raise ValueError("max_bits must be positive")
     prepared = list(terms)
 
-    precision = _first_rung(prepared, scale, target, max_bits)
+    precision = _first_rung(prepared, scale, target_width, max_bits)
+    p, q = target_width.numerator, target_width.denominator
     while True:
         lo, hi, work = _sum_scaled(prepared, scale, precision)
-        if (hi - lo) * target.denominator <= target.numerator << work:
-            return CertifiedInterval(Fraction(lo, 1 << work), Fraction(hi, 1 << work), precision)
+        if (hi - lo) * q <= p << work:
+            return CertifiedInterval._make(
+                (Fraction(lo, 1 << work), Fraction(hi, 1 << work), precision)
+            )
         if precision >= max_bits:
             raise CertificationError(
-                f"width {_approx(Fraction(hi - lo, 1 << work), '.3g')} exceeds target {target} "
-                f"at the precision cap ({max_bits} bits)"
+                f"width {_approx(Fraction(hi - lo, 1 << work), '.3g')} exceeds target "
+                f"{target_width} at the precision cap ({max_bits} bits)"
             )
         precision = min(2 * precision, max_bits)
 
@@ -447,15 +498,18 @@ def certify_integer(interval: CertifiedInterval) -> int:
     Raises AmbiguousInterval when the width is >= 1/2 (refine and retry) and
     NoIntegerInInterval when the narrow interval misses every integer (which
     means the quantity enclosed is not the integer it was claimed to be).
+    Both tests run on the endpoints' numerators and denominators.
     """
-    if interval.width >= Fraction(1, 2):
+    lo, hi = interval.lo, interval.hi
+    a, b = lo.numerator, lo.denominator
+    c, d = hi.numerator, hi.denominator
+    if 2 * (c * b - a * d) >= b * d:
         raise AmbiguousInterval(
             f"width {_approx(interval.width, '.3g')} >= 1/2; refine before certifying"
         )
-    lowest = math.ceil(interval.lo)
-    highest = math.floor(interval.hi)
-    if lowest > highest:
+    lowest = -(-a // b)
+    if lowest > c // d:
         raise NoIntegerInInterval(
-            f"no integer in [{_approx(interval.lo, '.6f')}, {_approx(interval.hi, '.6f')}]"
+            f"no integer in [{_approx(lo, '.6f')}, {_approx(hi, '.6f')}]"
         )
     return lowest

@@ -50,6 +50,9 @@ MAX_SUM_TERMS = 100_000
 #: n; the profile entries grow like k^2 at rank 2, where there is one pair.
 MAX_PAIR_UPDATES = 50_000_000
 
+# The enclosure width at which a sum is certified: below 1/2, with room.
+_CERTIFY_WIDTH = Fraction(1, 4)
+
 
 class UnsupportedQuery(Exception):
     """The query lies outside the computable range."""
@@ -221,7 +224,7 @@ def _certified_sum_value(g: int, n: int, k: int, max_bits: int) -> int:
             f"and profile entries, above the limit of {MAX_PAIR_UPDATES}"
         )
     terms, scale = reduced_sum_terms(g, n, k)
-    enclosure = evaluate_sum(terms, scale, Fraction(1, 4), max_bits=max_bits)
+    enclosure = evaluate_sum(terms, scale, _CERTIFY_WIDTH, max_bits=max_bits)
     return certify_integer(enclosure)
 
 

@@ -13,6 +13,7 @@ import random
 import time
 from contextlib import contextmanager
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -39,6 +40,10 @@ from thetadim.verlinde import (
     verlinde_sum_terms,
 )
 from trig_oracle import FROZEN_SUMS
+
+ROOT = Path(__file__).resolve().parents[1]
+# (g, n, k, s, v) of every benchmark lookup cell, from an mpmath brute force
+LOOKUPS = ROOT / "perfbench" / "refs" / "lookups.json"
 
 
 @contextmanager
@@ -265,6 +270,31 @@ def test_reduced_path_first_rung_on_deep_values(g, n, k):
     reduced, bits = _certify_at_first_rung(*reduced_sum_terms(g, n, k))
     assert bits >= 128
     assert reduced == _certify_at_first_rung(*verlinde_sum_terms(g, n, k))[0]
+
+
+# The lookup-deep cells whose a priori rung is 256 bits; the rest start,
+# and certify, at 128.
+DEEP_CELLS_AT_256 = {
+    (66, 5, 1), (72, 4, 1), (78, 2, 2), (78, 4, 1), (84, 2, 2),
+    (84, 4, 1), (90, 3, 1), (90, 4, 1), (96, 3, 1), (96, 4, 1),
+}
+
+
+def test_benchmark_cells_certify_at_their_pinned_rungs():
+    # every lookup cell equals its mpmath reference at the rung its
+    # workload is built to exercise, without doubling
+    refs = json.loads(LOOKUPS.read_text())
+    rungs = {}
+    for workload, rows in refs.items():
+        for g, n, k, s, _ in rows:
+            value, rungs[workload, g, n, k] = _certify_at_first_rung(*reduced_sum_terms(g, n, k))
+            assert value == int(s), (workload, g, n, k)
+    assert len(rungs) == 68
+    expected = {
+        key: 64 if key[0] == "lookup-wide" else 256 if key[1:] in DEEP_CELLS_AT_256 else 128
+        for key in rungs
+    }
+    assert rungs == expected
 
 
 def test_reduced_path_negative_control():

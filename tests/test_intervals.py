@@ -1,9 +1,10 @@
 """Kernel tests: pi and sine enclosures, sum evaluation, integer certification."""
 
+import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from thetadim import intervals
@@ -15,6 +16,8 @@ from thetadim.intervals import (
     NoIntegerInInterval,
     SineProductTerm,
     _GUARD_BITS,
+    _SINE_EXTRA_BITS,
+    _approx,
     _base_scaled,
     _first_rung,
     _pi_scaled,
@@ -28,6 +31,11 @@ from trig_oracle import pi_fraction, two_sin_fraction
 # Allows for the oracle's own ~10**-78 rounding; anything a real defect
 # would produce is many orders of magnitude larger.
 ORACLE_SLACK = Fraction(1, 10**70)
+
+
+def _all_offsets(top):
+    """Every (m, M) with 0 < m < M <= top."""
+    return [(m, modulus) for modulus in range(2, top + 1) for m in range(1, modulus)]
 
 
 class TestCertifiedInterval:
@@ -47,14 +55,16 @@ class TestCertifiedInterval:
 
 
 class TestPiEnclosure:
-    @pytest.mark.parametrize("bits", [1, 8, 64, 128, 256, 1024])
+    @pytest.mark.parametrize("bits", [1, 8, 64, 128, 256, 1024, 4096, 16384])
     def test_contains_pi_and_meets_width(self, bits):
-        work = bits + _GUARD_BITS
-        lo, hi = _pi_scaled(work)
+        # at the kernel's scale and at the finer one the sine series use,
+        # up to the default precision cap
         oracle = pi_fraction(dps=400)
-        assert Fraction(lo, 1 << work) - ORACLE_SLACK <= oracle
-        assert oracle <= Fraction(hi, 1 << work) + ORACLE_SLACK
-        assert Fraction(hi - lo, 1 << work) <= Fraction(2) ** (1 - bits)
+        for work in (bits + _GUARD_BITS, bits + _GUARD_BITS + _SINE_EXTRA_BITS):
+            lo, hi = _pi_scaled(work)
+            assert Fraction(lo, 1 << work) - ORACLE_SLACK <= oracle
+            assert oracle <= Fraction(hi, 1 << work) + ORACLE_SLACK
+            assert 0 < hi - lo <= 2, work
 
 
 class TestSinEnclosure:
@@ -93,15 +103,48 @@ class TestSinEnclosure:
         assert iv.lo - ORACLE_SLACK <= oracle <= iv.hi + ORACLE_SLACK
         assert iv.width <= Fraction(2) ** (1 - bits)
 
-    @given(modulus=st.integers(2, 30), m=st.integers(1, 29))
-    @settings(max_examples=40, deadline=None)
-    def test_refinement_monotone(self, modulus, m):
-        m = 1 + m % (modulus - 1)
-        coarse = sin_enclosure(m, modulus, 64)
-        for bits in (128, 256):
-            fine = sin_enclosure(m, modulus, bits)
-            assert coarse.lo <= fine.lo and fine.hi <= coarse.hi
-            coarse = fine
+    def test_refinement_monotone(self):
+        # every enclosure nests inside the one of the rung below
+        for m, modulus in _all_offsets(64):
+            coarse = sin_enclosure(m, modulus, 64)
+            for bits in (128, 256, 512, 1024):
+                fine = sin_enclosure(m, modulus, bits)
+                assert coarse.lo <= fine.lo and fine.hi <= coarse.hi, (m, modulus, bits)
+                coarse = fine
+
+    def test_upper_bound_covers_the_width_of_pi(self, monkeypatch):
+        # With pi 2**20 units wide each way, the series at the lower angle
+        # alone falls short of the sine; the 1-Lipschitz term b - a must
+        # make up the gap.
+        original = intervals._pi_scaled
+
+        def widened(work_bits):
+            lo, hi = original(work_bits)
+            return lo - 2**20, hi + 2**20
+
+        _pi_scaled.cache_clear()
+        sin_enclosure.cache_clear()
+        monkeypatch.setattr(intervals, "_pi_scaled", widened)
+        try:
+            for m, modulus in ((1, 3), (2, 7), (5, 16)):
+                iv = sin_enclosure(m, modulus, 64)
+                oracle = two_sin_fraction(m, modulus, dps=120)
+                assert iv.lo - ORACLE_SLACK <= oracle <= iv.hi + ORACLE_SLACK, (m, modulus)
+        finally:
+            _pi_scaled.cache_clear()
+            sin_enclosure.cache_clear()
+
+
+class TestSinEnclosureWidths:
+    # at most 4 units of the working scale 2**-(bits + 32), up to the
+    # default precision cap
+    @pytest.mark.parametrize(
+        "bits,top", [(64, 64), (128, 64), (256, 64), (1024, 64), (4096, 16), (16384, 4)]
+    )
+    def test_at_most_four_units_wide(self, bits, top):
+        unit = Fraction(1, 1 << (bits + _GUARD_BITS))
+        for m, modulus in _all_offsets(top):
+            assert sin_enclosure(m, modulus, bits).width <= 4 * unit, (m, modulus)
 
 
 class TestSineProductTerm:
@@ -275,3 +318,40 @@ class TestCertifyInteger:
     def test_negative_values(self):
         iv = CertifiedInterval(Fraction(-41, 10), Fraction(-39, 10), 64)
         assert certify_integer(iv) == -4
+
+    @given(
+        lo=st.one_of(
+            st.integers(-6, 6).map(Fraction),
+            st.fractions(min_value=-6, max_value=6, max_denominator=1000),
+            st.builds(
+                Fraction, st.integers(-6 << 40, 6 << 40), st.integers(0, 40).map(lambda e: 1 << e)
+            ),
+        ),
+        width=st.one_of(
+            st.sampled_from([Fraction(0), Fraction(1, 2), Fraction(1)]),
+            st.fractions(min_value=0, max_value=1, max_denominator=1000),
+            st.builds(Fraction, st.integers(0, 1 << 40), st.just(1 << 40)),
+        ),
+    )
+    @example(lo=Fraction(-1, 4), width=Fraction(1, 2))  # width exactly 1/2 around 0
+    @example(lo=Fraction(3), width=Fraction(1, 2))  # width exactly 1/2 from an integer
+    @example(lo=Fraction(-9, 4), width=Fraction(1, 4))  # negative, integer upper end
+    @example(lo=Fraction(-7, 3), width=Fraction(1, 12))  # negative, no integer
+    @example(lo=Fraction(-2), width=Fraction(0))  # negative integer, exact
+    @settings(max_examples=300, deadline=None)
+    def test_matches_fraction_reference(self, lo, width):
+        hi = lo + width
+        iv = CertifiedInterval(lo, hi, 64)
+        # the reference: Fraction arithmetic, math.ceil and math.floor
+        if width >= Fraction(1, 2):
+            kind = AmbiguousInterval
+            message = f"width {_approx(width, '.3g')} >= 1/2; refine before certifying"
+        elif math.ceil(lo) > math.floor(hi):
+            kind = NoIntegerInInterval
+            message = f"no integer in [{_approx(lo, '.6f')}, {_approx(hi, '.6f')}]"
+        else:
+            assert certify_integer(iv) == math.ceil(lo) == math.floor(hi)
+            return
+        with pytest.raises(kind) as caught:
+            certify_integer(iv)
+        assert str(caught.value) == message
