@@ -21,7 +21,6 @@ from .intervals import (
     SineProductTerm,
     certify_integer,
     evaluate_sum,
-    sin_enclosure,
 )
 from .verlinde import (
     DimResult,
@@ -111,7 +110,6 @@ __all__ = [
     "jacobian_pullback",
     "pullback_split",
     "reduced_sum_terms",
-    "sin_enclosure",
     "sl_dim",
     "symmetric_power_dim",
     "theta_rescale",

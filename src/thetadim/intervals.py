@@ -23,20 +23,21 @@ precision plus guard bits.  Every multiply, power, reciprocal and signed
 rational scalar is floored on the lower bound and ceiled on the upper one,
 in the manner of Arb's dyadic arithmetic (Johansson, "Arb: efficient
 arbitrary-precision midpoint-radius interval arithmetic", IEEE Trans.
-Computers, 2017).  The sine enclosures are dyadic at that scale, so they
-enter exactly; a csc^2 factor is 4 / x^2 of the sine enclosure x, rounded
-outward at the same scale.  Each sine is fetched once per evaluation and
-precision, and each distinct power once.  A csc^2 factor is >= 1, so its
-rounding errors stay relative to the term, while a sine below 1 carries
-an absolute one.  The precision is a rung of the ladder 64 * 2**j, and the
-first rung is chosen a priori from a float estimate of the magnitudes and
-rounding count involved, so a sum is normally certified in one precision
-step; doubling remains as the fallback, up to a hard cap.  Floats only
-choose the rung, never an endpoint.  No Fraction is built for the
-kernel's own use: the caller's int or Fraction scale and target enter as
-given, the only Fractions made are the endpoints of the intervals returned
-(sine enclosures and sums), which skip re-validation, and `certify_integer`
-decides on their numerators and denominators.
+Computers, 2017).  The sine enclosures are integer bounds at that scale
+too, so they enter as they are; a csc^2 factor is 4 / x^2 of the sine
+enclosure x, rounded outward at the same scale.  Each sine is fetched
+once per evaluation and precision, and each distinct power once.  A csc^2
+factor is >= 1, so its rounding errors stay relative to the term, while a
+sine below 1 carries an absolute one.  The precision is a rung of the
+ladder 64 * 2**j, and the first rung is chosen a priori from a float
+estimate of the magnitudes and rounding count involved, so a sum is
+normally certified in one precision step; doubling remains as the
+fallback, up to a hard cap.  Floats only choose the rung, never an
+endpoint.  No Fraction is built below `evaluate_sum`, which makes only
+its result's two endpoints (skipping re-validation) and, on failure, the
+width it reports; the caller's int or Fraction scale and target enter as
+given, and `certify_integer` decides on the endpoints' numerators and
+denominators.
 
 Everything here is a pure function of its inputs; the per-precision caches
 are idempotent write-once tables, so concurrent use is safe.
@@ -52,9 +53,9 @@ _START_BITS = 64
 DEFAULT_MAX_PRECISION_BITS = 16384
 
 # Extra working bits beyond the requested precision: the sum kernel and the
-# sine enclosures work at the scale 2**-(prec + 32), so a sine enclosure, at
-# most 4 units of that scale wide, is far narrower than 2**-prec.  The sine
-# bounds are dyadic at the kernel's scale, so they enter it exactly.
+# sine enclosures share the integer scale 2**-(prec + 32), so a sine
+# enclosure, at most _SINE_WIDTH_UNITS units of it wide, is far narrower
+# than 2**-prec.
 _GUARD_BITS = 32
 
 # Bits past their target scale at which pi and a sine series run before
@@ -63,13 +64,10 @@ _GUARD_BITS = 32
 _PI_EXTRA_BITS = 16
 _SINE_EXTRA_BITS = 12
 
-# Inputs to the a priori precision estimate (`_first_rung`): a sine
-# enclosure's width in units of its working scale, and a few bits of margin
-# for the crudeness of the rounding count.  The true width is at most 4
-# units; 8 is kept because it only chooses the first precision, never a
-# bound, and lowering it moves rungs: (90, 3, 1) would start at 128 bits
-# instead of 256.
-_SINE_ERROR_UNITS = 8
+# The proved width of a sine enclosure in units of the working scale (see
+# `sin_enclosure`); the a priori precision estimate (`_first_rung`) reads
+# it, with a few bits of margin for the crudeness of its rounding count.
+_SINE_WIDTH_UNITS = 4
 _MARGIN_BITS = 4
 
 
@@ -248,12 +246,11 @@ def _sin_series_scaled(num: int, den: int, work_bits: int) -> tuple[int, int]:
 
 
 @lru_cache(maxsize=None)
-def sin_enclosure(m: int, modulus: int, precision_bits: int) -> CertifiedInterval:
-    """Certified enclosure of 2*sin(pi*m/modulus) for 0 < m < modulus.
-
-    The bounds are dyadic at the working scale 2**-w, w = precision_bits +
-    _GUARD_BITS, and at most 4 units of it apart, i.e. the width is at most
-    2**(2 - w), at every precision up to the default cap (see `_pi_scaled`).
+def sin_enclosure(m: int, modulus: int, precision_bits: int) -> tuple[int, int]:
+    """Integer bounds (lo, hi) with 2*sin(pi*m/modulus) in [lo, hi] / 2**w,
+    for 0 < m < modulus, at the kernel's working scale w = precision_bits +
+    _GUARD_BITS.  They are at most _SINE_WIDTH_UNITS apart at every
+    precision up to the default cap (see `_pi_scaled`).
 
     One Taylor series runs, _SINE_EXTRA_BITS past the working scale, at the
     lower end a = pi_lo * f / modulus of the angle interval [a, b] that
@@ -271,11 +268,10 @@ def sin_enclosure(m: int, modulus: int, precision_bits: int) -> CertifiedInterva
         raise ValueError(f"offset must satisfy 0 < m < modulus, got m={m}, modulus={modulus}")
 
     folded = min(m, modulus - m)  # sin(pi - x) = sin(x)
+    work = precision_bits + _GUARD_BITS
     if 2 * folded == modulus:
         # Exact half turn: 2 sin(pi/2) = 2.
-        return CertifiedInterval._make((Fraction(2), Fraction(2), precision_bits))
-
-    work = precision_bits + _GUARD_BITS
+        return 2 << work, 2 << work
     fine = work + _SINE_EXTRA_BITS
     pi_lo, pi_hi = _pi_scaled(fine)
     sin_lo, sin_hi = _sin_series_scaled(pi_lo * folded, modulus, fine)
@@ -286,24 +282,12 @@ def sin_enclosure(m: int, modulus: int, precision_bits: int) -> CertifiedInterva
         # The kernel divides by the lower bound; only moduli beyond about
         # 2**w leave it at zero.
         raise ValueError("modulus too large for this working precision")
-    scale = 1 << work
-    return CertifiedInterval._make(
-        (Fraction(2 * lo, scale), Fraction(2 * hi, scale), precision_bits)
-    )
+    return 2 * lo, 2 * hi
 
 
 # ---------------------------------------------------------------------------
 # the sum kernel: integer bounds at one fixed-point scale
 # ---------------------------------------------------------------------------
-
-def _to_scaled(iv: CertifiedInterval, work_bits: int) -> tuple[int, int]:
-    """Integer bounds [lo, hi] with the interval inside [lo, hi] / 2**work_bits."""
-    lo, hi = iv.lo, iv.hi
-    return (
-        (lo.numerator << work_bits) // lo.denominator,
-        -((-hi.numerator << work_bits) // hi.denominator),
-    )
-
 
 def _power_scaled(lo: int, hi: int, e: int, work_bits: int) -> tuple[int, int]:
     """Bounds on x**e at scale 2**work_bits, for x in [lo, hi] / 2**work_bits, x > 0.
@@ -347,12 +331,12 @@ def _approx(q: Fraction, spec: str) -> str:
 def _base_estimate(cosecant: bool, modulus: int, m: int) -> tuple[float, float]:
     """Float estimates, for `_first_rung`, of log2 of a factor's base and of
     its enclosure's relative error in units of the working scale: a sine
-    x = 2 sin(pi m / M) is counted as _SINE_ERROR_UNITS units wide, and
-    csc^2 = 4/x^2 doubles its relative error and adds one unit of rounding."""
+    x = 2 sin(pi m / M) is _SINE_WIDTH_UNITS units wide, and csc^2 = 4/x^2
+    doubles its relative error and adds one unit of rounding."""
     x = 2 * math.sin(math.pi * m / modulus)
     if cosecant:
-        return 2.0 - 2 * math.log2(x), 2 * _SINE_ERROR_UNITS / x + 1
-    return math.log2(x), _SINE_ERROR_UNITS / x
+        return 2.0 - 2 * math.log2(x), 2 * _SINE_WIDTH_UNITS / x + 1
+    return math.log2(x), _SINE_WIDTH_UNITS / x
 
 
 def _first_rung(
@@ -405,16 +389,14 @@ def _first_rung(
     return precision
 
 
-def _base_scaled(
-    cosecant: bool, modulus: int, m: int, precision: int, work: int
-) -> tuple[int, int]:
-    """Bounds on a factor's base at scale 2**work: x = 2 sin(pi m / M), or
-    csc^2(pi m / M) = 4 / x^2, floored from x's upper bound and ceiled from
-    its lower one."""
-    lo, hi = _to_scaled(sin_enclosure(m, modulus, precision), work)
+def _base_scaled(cosecant: bool, modulus: int, m: int, precision: int) -> tuple[int, int]:
+    """Bounds on a factor's base at the working scale 2**-w of `precision`:
+    the sine enclosure x of 2 sin(pi m / M) as it is, or csc^2(pi m / M) =
+    4 / x^2, floored from x's upper bound and ceiled from its lower one."""
+    lo, hi = sin_enclosure(m, modulus, precision)
     if not cosecant:
         return lo, hi
-    numerator = 1 << (3 * work + 2)
+    numerator = 1 << (3 * (precision + _GUARD_BITS) + 2)
     return numerator // (hi * hi), -(-numerator // (lo * lo))
 
 
@@ -443,7 +425,7 @@ def _sum_scaled(
                 m, e = factor
                 base = bases.get((*kind, m))
                 if base is None:
-                    base = bases[(*kind, m)] = _base_scaled(*kind, m, precision, work)
+                    base = bases[(*kind, m)] = _base_scaled(*kind, m, precision)
                 power = table[factor] = _power_scaled(*base, e, work)
             lo = (lo * power[0]) >> work
             hi = -((-hi * power[1]) >> work)

@@ -276,7 +276,7 @@ def test_reduced_path_first_rung_on_deep_values(g, n, k):
 # and certify, at 128.
 DEEP_CELLS_AT_256 = {
     (66, 5, 1), (72, 4, 1), (78, 2, 2), (78, 4, 1), (84, 2, 2),
-    (84, 4, 1), (90, 3, 1), (90, 4, 1), (96, 3, 1), (96, 4, 1),
+    (84, 4, 1), (90, 4, 1), (96, 3, 1), (96, 4, 1),
 }
 
 

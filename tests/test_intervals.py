@@ -17,6 +17,7 @@ from thetadim.intervals import (
     SineProductTerm,
     _GUARD_BITS,
     _SINE_EXTRA_BITS,
+    _SINE_WIDTH_UNITS,
     _approx,
     _base_scaled,
     _first_rung,
@@ -36,6 +37,11 @@ ORACLE_SLACK = Fraction(1, 10**70)
 def _all_offsets(top):
     """Every (m, M) with 0 < m < M <= top."""
     return [(m, modulus) for modulus in range(2, top + 1) for m in range(1, modulus)]
+
+
+def _sine(m, modulus, bits):
+    """The enclosure of 2 sin(pi m / M) as Fractions at the scale 2**-(bits + 32)."""
+    return tuple(Fraction(b, 2 ** (bits + _GUARD_BITS)) for b in sin_enclosure(m, modulus, bits))
 
 
 class TestCertifiedInterval:
@@ -70,18 +76,18 @@ class TestPiEnclosure:
 class TestSinEnclosure:
     def test_half_turn_is_exact(self):
         for bits in (1, 64, 333):
-            iv = sin_enclosure(1, 2, bits)
-            assert iv.lo == iv.hi == 2
+            lo, hi = _sine(1, 2, bits)
+            assert lo == hi == 2
 
     def test_pi_sixth_tight_around_one(self):
-        iv = sin_enclosure(1, 6, 64)
-        assert iv.lo <= 1 <= iv.hi
-        assert iv.width <= Fraction(1, 2**63)
+        lo, hi = _sine(1, 6, 64)
+        assert lo <= 1 <= hi
+        assert hi - lo <= Fraction(1, 2**63)
 
     def test_pi_fifth_matches_oracle(self):
-        iv = sin_enclosure(1, 5, 64)
+        lo, hi = _sine(1, 5, 64)
         oracle = two_sin_fraction(1, 5)
-        assert iv.lo <= oracle <= iv.hi
+        assert lo <= oracle <= hi
         # 2*sin(36 degrees) = 1.17557050...
         assert abs(Fraction(117557050, 10**8) - oracle) < Fraction(1, 10**8)
 
@@ -98,18 +104,18 @@ class TestSinEnclosure:
     @settings(max_examples=60, deadline=None)
     def test_soundness_against_oracle(self, modulus, m, bits):
         m = 1 + m % (modulus - 1)
-        iv = sin_enclosure(m, modulus, bits)
+        lo, hi = _sine(m, modulus, bits)
         oracle = two_sin_fraction(m, modulus, dps=120)
-        assert iv.lo - ORACLE_SLACK <= oracle <= iv.hi + ORACLE_SLACK
-        assert iv.width <= Fraction(2) ** (1 - bits)
+        assert lo - ORACLE_SLACK <= oracle <= hi + ORACLE_SLACK
+        assert hi - lo <= Fraction(2) ** (1 - bits)
 
     def test_refinement_monotone(self):
         # every enclosure nests inside the one of the rung below
         for m, modulus in _all_offsets(64):
-            coarse = sin_enclosure(m, modulus, 64)
+            coarse = _sine(m, modulus, 64)
             for bits in (128, 256, 512, 1024):
-                fine = sin_enclosure(m, modulus, bits)
-                assert coarse.lo <= fine.lo and fine.hi <= coarse.hi, (m, modulus, bits)
+                fine = _sine(m, modulus, bits)
+                assert coarse[0] <= fine[0] and fine[1] <= coarse[1], (m, modulus, bits)
                 coarse = fine
 
     def test_upper_bound_covers_the_width_of_pi(self, monkeypatch):
@@ -127,24 +133,25 @@ class TestSinEnclosure:
         monkeypatch.setattr(intervals, "_pi_scaled", widened)
         try:
             for m, modulus in ((1, 3), (2, 7), (5, 16)):
-                iv = sin_enclosure(m, modulus, 64)
+                lo, hi = _sine(m, modulus, 64)
                 oracle = two_sin_fraction(m, modulus, dps=120)
-                assert iv.lo - ORACLE_SLACK <= oracle <= iv.hi + ORACLE_SLACK, (m, modulus)
+                assert lo - ORACLE_SLACK <= oracle <= hi + ORACLE_SLACK, (m, modulus)
         finally:
             _pi_scaled.cache_clear()
             sin_enclosure.cache_clear()
 
 
 class TestSinEnclosureWidths:
-    # at most 4 units of the working scale 2**-(bits + 32), up to the
-    # default precision cap
+    # at most _SINE_WIDTH_UNITS (4) units of the working scale
+    # 2**-(bits + 32), up to the default precision cap
     @pytest.mark.parametrize(
         "bits,top", [(64, 64), (128, 64), (256, 64), (1024, 64), (4096, 16), (16384, 4)]
     )
     def test_at_most_four_units_wide(self, bits, top):
-        unit = Fraction(1, 1 << (bits + _GUARD_BITS))
+        assert _SINE_WIDTH_UNITS == 4
         for m, modulus in _all_offsets(top):
-            assert sin_enclosure(m, modulus, bits).width <= 4 * unit, (m, modulus)
+            lo, hi = sin_enclosure(m, modulus, bits)
+            assert hi - lo <= _SINE_WIDTH_UNITS, (m, modulus)
 
 
 class TestSineProductTerm:
@@ -277,10 +284,32 @@ class TestEvaluateSum:
             work = bits + _GUARD_BITS
             for modulus in range(2, 17):
                 for m in range(1, modulus):
-                    lo, hi = _base_scaled(True, modulus, m, bits, work)
+                    lo, hi = _base_scaled(True, modulus, m, bits)
                     assert 1 << work <= lo <= hi, (bits, modulus, m)
                     if 2 * m == modulus:
                         assert lo == hi == 1 << work
+
+    def test_no_fraction_is_built_below_evaluate_sum(self, monkeypatch):
+        # sines (offset 4 of 8 is the half turn), bases, powers and sums stay
+        # integers; cold caches make every sine and pi bound run under the stub
+        def no_fraction(*args):
+            raise AssertionError("a Fraction was built below evaluate_sum")
+
+        sums = [
+            [(1, CosecantSquaredTerm(8, ((1, 2), (4, 3)))), (3, CosecantSquaredTerm(8, ()))],
+            [(Fraction(-2, 3), SineProductTerm(7, ((1, 1), (2, 2), (3, 1))))],
+        ]
+        _pi_scaled.cache_clear()
+        sin_enclosure.cache_clear()
+        monkeypatch.setattr(intervals, "Fraction", no_fraction)
+        try:
+            for terms in sums:
+                for bits in (64, 256):
+                    lo, hi, work = _sum_scaled(terms, Fraction(5, 3), bits)
+                    assert type(lo) is type(hi) is int and lo < hi
+        finally:
+            _pi_scaled.cache_clear()
+            sin_enclosure.cache_clear()
 
     def test_width_shrinks_when_precision_doubles(self):
         term = SineProductTerm(7, ((1, 1), (2, 1), (3, 1)))
