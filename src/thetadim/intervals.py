@@ -2,42 +2,45 @@
 
 The kernel encloses sums of the shape
 
-    scale * sum_i  coeff_i * prod_j  f(m_ij / M_i)^(e_ij)
+    scale * 2**-shift * sum_i  coeff_i * prod_j  f(m_ij / M_i)^(power * e_ij)
 
-between exact rational bounds, where every factor of a term is of one
-kind: f(t) = |2 sin(pi t)| (`SineProductTerm`) or f(t) = csc^2(pi t)
-(`CosecantSquaredTerm`).  The enclosures of pi and of the sine values
-come from alternating series with explicit tail bounds, evaluated in
-fixed-point integer arithmetic with directed rounding, so the bounds are
-mathematically rigorous.  Each series runs a few bits past its target
-scale and is rounded outward once, so pi is at most 2 units of that scale
-wide.  A sine costs one series, at the lower end of the angle interval
-that pi's enclosure gives; the 1-Lipschitz bound sin(b) <= sin(a) + (b - a)
-covers the upper end, and the enclosure of 2 sin is at most 4 units wide.
-An interval of width < 1/2 that contains exactly one integer is then a
-proof of that integer value (`certify_integer`).
+between dyadic bounds, with integer coefficients, an integer scale, a
+binary shift and one common exponent `power`, where every factor of a term
+is of one kind: f(t) = |2 sin(pi t)| (`SineProductTerm`) or
+f(t) = csc^2(pi t) (`CosecantSquaredTerm`).  `power` multiplies every
+factor's exponent, so one table of terms serves every power.  The
+enclosures of pi and of the sine values come from alternating series with
+explicit tail bounds, evaluated in fixed-point integer arithmetic with
+directed rounding, so the bounds are mathematically rigorous.  Each series
+runs a few bits past its target scale and is rounded outward once, so pi
+is at most 2 units of that scale wide.  A sine costs one series, at the
+lower end of the angle interval that pi's enclosure gives; the 1-Lipschitz
+bound sin(b) <= sin(a) + (b - a) covers the upper end, and the enclosure
+of 2 sin is at most 4 units wide.  An interval of width < 1/2 that
+contains exactly one integer is then a proof of that integer value
+(`certify_integer`).
 
 The sum kernel (`evaluate_sum`) keeps one numeric representation: integer
 lower and upper bounds at a single fixed-point scale 2**-w, with w the
-precision plus guard bits.  Every multiply, power, reciprocal and signed
-rational scalar is floored on the lower bound and ceiled on the upper one,
-in the manner of Arb's dyadic arithmetic (Johansson, "Arb: efficient
-arbitrary-precision midpoint-radius interval arithmetic", IEEE Trans.
-Computers, 2017).  The sine enclosures are integer bounds at that scale
-too, so they enter as they are; a csc^2 factor is 4 / x^2 of the sine
-enclosure x, rounded outward at the same scale.  Each sine is fetched
-once per evaluation and precision, and each distinct power once.  A csc^2
-factor is >= 1, so its rounding errors stay relative to the term, while a
-sine below 1 carries an absolute one.  The precision is a rung of the
-ladder 64 * 2**j, and the first rung is chosen a priori from a float
-estimate of the magnitudes and rounding count involved, so a sum is
-normally certified in one precision step; doubling remains as the
-fallback, up to a hard cap.  Floats only choose the rung, never an
-endpoint.  No Fraction is built below `evaluate_sum`, which makes only
-its result's two endpoints (skipping re-validation) and, on failure, the
-width it reports; the caller's int or Fraction scale and target enter as
-given, and `certify_integer` decides on the endpoints' numerators and
-denominators.
+precision plus guard bits.  Every multiply, power and reciprocal is
+floored on the lower bound and ceiled on the upper one, in the manner of
+Arb's dyadic arithmetic (Johansson, "Arb: efficient arbitrary-precision
+midpoint-radius interval arithmetic", IEEE Trans. Computers, 2017).  The
+sine enclosures are integer bounds at that scale too, so they enter as
+they are; a csc^2 factor is 4 / x^2 of the sine enclosure x, rounded
+outward at the same scale.  Each sine is fetched once per evaluation and
+precision, and each distinct power once.  A csc^2 factor is >= 1, so its
+rounding errors stay relative to the term, while a sine below 1 carries an
+absolute one.  The precision is a rung of the ladder 64 * 2**j, and the
+first rung is chosen a priori from a float estimate of the magnitudes and
+rounding count involved, so a sum is normally certified in one precision
+step; doubling remains as the fallback, up to a hard cap.  Floats only
+choose the rung, never an endpoint.  The integer coefficients and scale
+multiply the bounds exactly, and the shift only moves the scale, so the
+result is the dyadic interval [lo, hi] / 2**(w + shift)
+(`CertifiedInterval`), the target width is 2**-target_bits, and
+`certify_integer` decides with integer shifts.  Nothing here builds a
+Fraction.
 
 Everything here is a pure function of its inputs; the per-precision caches
 are idempotent write-once tables, so concurrent use is safe.
@@ -46,7 +49,6 @@ are idempotent write-once tables, so concurrent use is safe.
 import math
 from collections import namedtuple
 from collections.abc import Iterable, Sequence
-from fractions import Fraction
 from functools import lru_cache
 
 _START_BITS = 64
@@ -87,24 +89,25 @@ class AmbiguousInterval(Exception):
     """More than one integer candidate (or width >= 1/2); refine and retry."""
 
 
-class CertifiedInterval(namedtuple("CertifiedInterval", "lo hi precision_bits")):
-    """Rational enclosure [lo, hi] of a real quantity.
+class CertifiedInterval(namedtuple("CertifiedInterval", "lo hi scale_bits precision_bits")):
+    """Dyadic enclosure [lo, hi] / 2**scale_bits of a real quantity.
 
-    `precision_bits` records the working precision that produced the bounds.
+    The endpoints are integers at the scale 2**-scale_bits, which for a
+    sum is the kernel's working scale plus the sum's binary shift, so
+    deciding on them takes integer shifts only.  `precision_bits` records
+    the working precision that produced the bounds.
     """
 
     __slots__ = ()
 
-    def __new__(cls, lo: Fraction, hi: Fraction, precision_bits: int):
+    def __new__(cls, lo: int, hi: int, scale_bits: int, precision_bits: int):
         if lo > hi:
             raise ValueError(f"empty interval: lo={lo} > hi={hi}")
+        if scale_bits < 0:
+            raise ValueError("scale_bits must be nonnegative")
         if precision_bits < 1:
             raise ValueError("precision_bits must be positive")
-        return super().__new__(cls, lo, hi, precision_bits)
-
-    @property
-    def width(self) -> Fraction:
-        return self.hi - self.lo
+        return super().__new__(cls, lo, hi, scale_bits, precision_bits)
 
 
 class _FactorTerm(namedtuple("_FactorTerm", "modulus factors")):
@@ -308,24 +311,13 @@ def _power_scaled(lo: int, hi: int, e: int, work_bits: int) -> tuple[int, int]:
     return result_lo, result_hi
 
 
-def _times_rational(c: int | Fraction, lo: int, hi: int) -> tuple[int, int]:
-    """Bounds on c * x for x in [lo, hi], at the same scale; c may be negative."""
-    p, q = c.numerator, c.denominator
-    if p < 0:
-        lo, hi = hi, lo
-    return (lo * p) // q, -((-hi * p) // q)
-
-
-def _log2_abs(q: int | Fraction) -> float:
-    return math.log2(abs(q.numerator)) - math.log2(q.denominator)
-
-
-def _approx(q: Fraction, spec: str) -> str:
-    """q formatted as a float, or as a signed power of two beyond float range."""
+def _approx(numerator: int, bits: int, spec: str) -> str:
+    """numerator / 2**bits formatted as a float (the quotient of two ints is
+    correctly rounded), or as a signed power of two beyond float range."""
     try:
-        return format(float(q), spec)
+        return format(numerator / (1 << bits), spec)
     except OverflowError:
-        return f"{'-' if q < 0 else ''}2**{_log2_abs(q):.1f}"
+        return f"{'-' if numerator < 0 else ''}2**{math.log2(abs(numerator)) - bits:.1f}"
 
 
 def _base_estimate(cosecant: bool, modulus: int, m: int) -> tuple[float, float]:
@@ -340,21 +332,24 @@ def _base_estimate(cosecant: bool, modulus: int, m: int) -> tuple[float, float]:
 
 
 def _first_rung(
-    prepared: Sequence[tuple[int | Fraction, _FactorTerm]],
-    scale: int | Fraction,
-    target: int | Fraction,
+    prepared: Sequence[tuple[int, _FactorTerm]],
+    power: int,
+    scale: int,
+    shift: int,
+    target_bits: int,
     max_bits: int,
 ) -> int:
     """The first rung of the ladder 64 * 2**j (capped at max_bits)
-    whose working scale is expected to meet the width target.
+    whose working scale is expected to meet the width target 2**-target_bits.
 
     At scale 2**-w a term's error is about 2**-w times its rounding count,
     amplified by the product of its factors above 1 and by |coeff| and
-    |scale|.  A factor's base enclosure adds its relative error once per
-    unit of exponent.  Factors below 1, which only sine products have,
-    carry an absolute error and are counted as 1.  Floats only choose the
-    rung: the enclosure itself stays rigorous, and the ladder still
-    doubles if the estimate falls short.
+    |scale| / 2**shift.  A factor's base enclosure adds its relative error
+    once per unit of exponent, which is the factor's exponent times
+    `power`.  Factors below 1, which only sine products have, carry an
+    absolute error and are counted as 1.  Floats only choose the rung: the
+    enclosure itself stays rigorous, and the ladder still doubles if the
+    estimate falls short.
     """
     costs: dict[tuple[bool, int], dict[tuple[int, int], tuple[float, float]]] = {}
     bounds = []
@@ -365,11 +360,12 @@ def _first_rung(
         table = costs.get(kind)
         if table is None:
             table = costs[kind] = {}
-        log_size, roundings = max(_log2_abs(coeff), 0.0), 2.0
+        log_size, roundings = math.log2(abs(coeff)), 2.0
         for factor in term.factors:
             cost = table.get(factor)
             if cost is None:
                 m, e = factor
+                e *= power
                 log_base, error_units = _base_estimate(*kind, m)
                 cost = table[factor] = (
                     max(e * log_base, 0.0),
@@ -382,7 +378,9 @@ def _first_rung(
     if bounds and scale:
         top = max(bounds)
         error_log2 = top + math.log2(sum(2.0 ** (b - top) for b in bounds))
-        needed = error_log2 + _log2_abs(scale) - _log2_abs(target) + _MARGIN_BITS - _GUARD_BITS
+        needed = (
+            error_log2 + math.log2(abs(scale)) - shift + target_bits + _MARGIN_BITS - _GUARD_BITS
+        )
     precision = min(_START_BITS, max_bits)
     while precision < needed and precision < max_bits:
         precision = min(2 * precision, max_bits)
@@ -401,12 +399,13 @@ def _base_scaled(cosecant: bool, modulus: int, m: int, precision: int) -> tuple[
 
 
 def _sum_scaled(
-    prepared: Sequence[tuple[int | Fraction, _FactorTerm]], scale: int | Fraction, precision: int
+    prepared: Sequence[tuple[int, _FactorTerm]], power: int, precision: int
 ) -> tuple[int, int, int]:
-    """Bounds (lo, hi, w) with scale * sum(coeff * term) in [lo, hi] / 2**w.
+    """Bounds (lo, hi, w) with sum(coeff * term**power) in [lo, hi] / 2**w.
 
     Each distinct base is enclosed once, from one sine enclosure, and each
     distinct power of it once; both are shared by every term that uses them.
+    The integer coefficients multiply a term's bounds exactly.
     """
     work = precision + _GUARD_BITS
     bases: dict[tuple[bool, int, int], tuple[int, int]] = {}
@@ -420,56 +419,72 @@ def _sum_scaled(
             table = powers[kind] = {}
         lo = hi = 1 << work
         for factor in term.factors:
-            power = table.get(factor)
-            if power is None:
+            bound = table.get(factor)
+            if bound is None:
                 m, e = factor
                 base = bases.get((*kind, m))
                 if base is None:
                     base = bases[(*kind, m)] = _base_scaled(*kind, m, precision)
-                power = table[factor] = _power_scaled(*base, e, work)
-            lo = (lo * power[0]) >> work
-            hi = -((-hi * power[1]) >> work)
-        lo, hi = _times_rational(coeff, lo, hi)
-        total_lo += lo
-        total_hi += hi
-    return (*_times_rational(scale, total_lo, total_hi), work)
+                bound = table[factor] = _power_scaled(*base, e * power, work)
+            lo = (lo * bound[0]) >> work
+            hi = -((-hi * bound[1]) >> work)
+        if coeff < 0:
+            lo, hi = hi, lo
+        total_lo += coeff * lo
+        total_hi += coeff * hi
+    return total_lo, total_hi, work
 
 
 def evaluate_sum(
-    terms: Iterable[tuple[int | Fraction, _FactorTerm]],
-    scale: int | Fraction,
-    target_width: int | Fraction,
+    terms: Iterable[tuple[int, _FactorTerm]],
+    power: int,
+    scale: int,
+    shift: int,
+    target_bits: int,
     *,
     max_bits: int = DEFAULT_MAX_PRECISION_BITS,
 ) -> CertifiedInterval:
-    """Enclose  scale * sum(coeff * value(term))  to within target_width.
+    """Enclose  scale * 2**-shift * sum(coeff * value(term)**power)  to
+    within 2**-target_bits.
 
-    The first precision is the rung of the ladder 64 * 2**j that an
-    a priori estimate expects to meet the target (see `_first_rung`); the
-    precision doubles from there only if it does not, and exceeding
-    `max_bits` raises CertificationError.  The result's `precision_bits` is
-    the rung that met the target.  Coefficients, the scale and the target
-    width are ints or Fractions, used as given without coercion.  An empty
-    term list yields the exact interval [0, 0].
+    `power` multiplies the exponent of every factor of every term, so a
+    table of terms built once serves every power; 0 makes each term 1.
+    Coefficients and the scale are ints of either sign and multiply the
+    bounds exactly, and the shift only moves the result's scale: the
+    result is [lo, hi] / 2**(w + shift) at the working scale w of the rung
+    that met the target, and its `precision_bits` is that rung.  The first
+    precision is the rung of the ladder 64 * 2**j that an a priori estimate
+    expects to meet the target (see `_first_rung`); the precision doubles
+    from there only if it does not, and exceeding `max_bits` raises
+    CertificationError.  An empty term list yields the exact interval
+    [0, 0].
     """
-    if target_width <= 0:
-        raise ValueError("target_width must be positive")
+    if power < 0:
+        raise ValueError("power must be nonnegative")
+    if shift < 0:
+        raise ValueError("shift must be nonnegative")
     if max_bits < 1:
         raise ValueError("max_bits must be positive")
-    prepared = list(terms)
+    prepared = tuple(terms)
 
-    precision = _first_rung(prepared, scale, target_width, max_bits)
-    p, q = target_width.numerator, target_width.denominator
+    precision = _first_rung(prepared, power, scale, shift, target_bits, max_bits)
     while True:
-        lo, hi, work = _sum_scaled(prepared, scale, precision)
-        if (hi - lo) * q <= p << work:
-            return CertifiedInterval._make(
-                (Fraction(lo, 1 << work), Fraction(hi, 1 << work), precision)
-            )
+        lo, hi, work = _sum_scaled(prepared, power, precision)
+        if scale < 0:
+            lo, hi = hi, lo
+        lo *= scale
+        hi *= scale
+        bits = work + shift
+        # the width (hi - lo) / 2**bits meets 2**-target_bits when hi - lo is
+        # at most 2**room, which below 2**0 only 0 is
+        room = bits - target_bits
+        if hi - lo <= (1 << room if room >= 0 else 0):
+            return CertifiedInterval._make((lo, hi, bits, precision))
         if precision >= max_bits:
+            target = f"1/{1 << target_bits}" if target_bits > 0 else str(1 << -target_bits)
             raise CertificationError(
-                f"width {_approx(Fraction(hi - lo, 1 << work), '.3g')} exceeds target "
-                f"{target_width} at the precision cap ({max_bits} bits)"
+                f"width {_approx(hi - lo, bits, '.3g')} exceeds target "
+                f"{target} at the precision cap ({max_bits} bits)"
             )
         precision = min(2 * precision, max_bits)
 
@@ -480,18 +495,16 @@ def certify_integer(interval: CertifiedInterval) -> int:
     Raises AmbiguousInterval when the width is >= 1/2 (refine and retry) and
     NoIntegerInInterval when the narrow interval misses every integer (which
     means the quantity enclosed is not the integer it was claimed to be).
-    Both tests run on the endpoints' numerators and denominators.
+    Both tests are integer shifts of the dyadic endpoints.
     """
-    lo, hi = interval.lo, interval.hi
-    a, b = lo.numerator, lo.denominator
-    c, d = hi.numerator, hi.denominator
-    if 2 * (c * b - a * d) >= b * d:
+    lo, hi, bits = interval.lo, interval.hi, interval.scale_bits
+    if (hi - lo) << 1 >= 1 << bits:
         raise AmbiguousInterval(
-            f"width {_approx(interval.width, '.3g')} >= 1/2; refine before certifying"
+            f"width {_approx(hi - lo, bits, '.3g')} >= 1/2; refine before certifying"
         )
-    lowest = -(-a // b)
-    if lowest > c // d:
+    lowest = -(-lo >> bits)
+    if lowest > hi >> bits:
         raise NoIntegerInInterval(
-            f"no integer in [{_approx(lo, '.6f')}, {_approx(hi, '.6f')}]"
+            f"no integer in [{_approx(lo, bits, '.6f')}, {_approx(hi, bits, '.6f')}]"
         )
     return lowest

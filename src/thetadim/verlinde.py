@@ -15,7 +15,6 @@ guessing.
 
 import math
 from collections import Counter, namedtuple
-from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 from operator import add
@@ -50,8 +49,9 @@ MAX_SUM_TERMS = 100_000
 #: n; the profile entries grow like k^2 at rank 2, where there is one pair.
 MAX_PAIR_UPDATES = 50_000_000
 
-# The enclosure width at which a sum is certified: below 1/2, with room.
-_CERTIFY_WIDTH = Fraction(1, 4)
+# The enclosure width 2**-_CERTIFY_BITS at which a sum is certified: 1/4,
+# below 1/2 with room.
+_CERTIFY_BITS = 2
 
 
 class UnsupportedQuery(Exception):
@@ -98,37 +98,35 @@ class DimResult(namedtuple("DimResult", "value method certified")):
         return super().__new__(cls, value, method, certified)
 
 
-def verlinde_sum_terms(
-    g: int, n: int, k: int
-) -> tuple[list[tuple[Fraction, SineProductTerm]], Fraction]:
-    """Terms and scale of the rank-n, level-k trigonometric sum at genus g.
+def verlinde_sum_terms(n: int, k: int) -> list[tuple[int, SineProductTerm]]:
+    """Terms of the unreduced rank-n, level-k trigonometric sum, for every genus.
 
     The sum runs over the n-element subsets S of {1, .., n+k} in
     lexicographic order; each term is
-    prod_{s in S, t not in S} |2 sin(pi (s - t)/(n + k))|^(g-1) and the
-    overall scale is (n/(n+k))^g.  This unoptimized enumeration is the
-    reference path: `reduced_sum_terms` must certify the same integers.
+    prod_{s in S, t not in S} |2 sin(pi (s - t)/(n + k))|, every factor with
+    exponent 1, and its coefficient is 1.  Evaluated with the kernel's
+    `power` g - 1 at scale 1 it is the integer N_g = s_g * ((n + k)/n)^g,
+    so s_g = N_g * n^g / (n + k)^g, a division that must leave no
+    remainder.  This unoptimized enumeration is the reference path:
+    `reduced_sum_terms` must certify the same integers.
     """
-    if g < 1 or n < 1 or k < 1:
-        raise ValueError("genus, rank and level must all be >= 1")
+    if n < 1 or k < 1:
+        raise ValueError("rank and level must both be >= 1")
     modulus = n + k
     universe = range(1, modulus + 1)
     terms = []
     for subset in combinations(universe, n):
         inside = set(subset)
-        if g > 1:
-            factors = [(s - t, g - 1) for s in subset for t in universe if t not in inside]
-        else:
-            factors = []  # empty product: every term is 1 at genus 1
-        terms.append((Fraction(1), SineProductTerm(modulus, tuple(factors))))
-    return terms, Fraction(n, modulus) ** g
+        factors = tuple((s - t, 1) for s in subset for t in universe if t not in inside)
+        terms.append((1, SineProductTerm(modulus, factors)))
+    return terms
 
 
-def reduced_sum_terms(
-    g: int, n: int, k: int
-) -> tuple[list[tuple[int, CosecantSquaredTerm]], Fraction]:
+@lru_cache(maxsize=32)
+def reduced_sum_terms(n: int, k: int) -> tuple[tuple[int, CosecantSquaredTerm], ...]:
     """The same sum as `verlinde_sum_terms`, reduced by two exact identities
-    to products of csc^2 factors and grouped by pair-offset profile.
+    to products of csc^2 factors and grouped by pair-offset profile, as a
+    table that serves every genus.
 
     With M = n + k, x_d = |2 sin(pi d/M)| and z_d = csc^2(pi d/M) = 4/x_d^2,
     this is the SU(n) alcove form S_{0,lambda}^(2-2g) of the Verlinde sum
@@ -146,28 +144,31 @@ def reduced_sum_terms(
     d <= M/2 only: prod_d z_d^((g-1) c_d), where c_d counts the pairs
     s < s' of S at folded offset d, and every factor is >= 1.  Together,
 
-        s_g = (n M^(n-1))^(g-1) * 4^(-(g-1) C(n,2)) * sum_S prod_d z_d^((g-1) c_d).
+        s_g = (n M^(n-1))^(g-1) * 2^(-2 (g-1) C(n,2)) * sum_S prod_d z_d^((g-1) c_d).
 
     A term depends on its subset only through the pair-offset profile
-    (c_d), so one term is returned per distinct profile, with its integer
-    multiplicity as coefficient; the coefficients sum to C(M-1, n-1).  The
-    profiles come from a walk over the subsets, one element at a time, in
-    which each new element adds its pairs to its prefix's counts, so the
-    pairs of a prefix are counted once for all the subsets that share it.
-    At genus 1 every term is the empty product, and at rank 1 the one
-    subset {M} has no pairs, so the single term C(M-1, n-1) is returned
-    without enumerating subsets.  The scale is the exact rational above.
+    (c_d), so the table holds one term per distinct profile, with the
+    exponents c_d and its integer multiplicity as coefficient; the
+    coefficients sum to C(M-1, n-1).  The genus enters only through the
+    kernel's `power` g - 1 and the scale, an integer (n M^(n-1))^(g-1) and
+    a right shift by 2 (g-1) C(n, 2) bits.  The profiles come from a walk
+    over the subsets, one element at a time, in which each new element
+    adds its pairs to its prefix's counts, so the pairs of a prefix are
+    counted once for all the subsets that share it.  At rank 1 the one
+    subset {M} has no pairs, so the single empty term is returned without
+    a walk.  Tables are cached per (n, k), at most 32 of them, the least
+    recently used dropped first, so a sweep over genera walks the subsets
+    of each (n, k) once.
 
     The symmetry S -> complement of S is deliberately not used: it would
     turn s(n, 0, k) and s(k, 0, n) into one computation and make the
     level-rank check between them vacuous.
     """
-    if g < 1 or n < 1 or k < 1:
-        raise ValueError("genus, rank and level must all be >= 1")
+    if n < 1 or k < 1:
+        raise ValueError("rank and level must both be >= 1")
     modulus = n + k
-    scale = Fraction(n * modulus ** (n - 1), 4 ** math.comb(n, 2)) ** (g - 1)
-    if g == 1 or n == 1:
-        return [(math.comb(modulus - 1, n - 1), CosecantSquaredTerm(modulus, ()))], scale
+    if n == 1:
+        return ((1, CosecantSquaredTerm(modulus, ())),)
     # A profile is packed into one integer, c_d in the digit of `width`
     # bits at position d.  A count never exceeds the C(n, 2) pairs, nor n,
     # since each element of S has at most two partners at offset d.
@@ -199,10 +200,10 @@ def reduced_sum_terms(
             d = ((key & -key).bit_length() - 1) // width
             c = (key >> (width * d)) & mask
             key -= c << (width * d)
-            factors.append((d, (g - 1) * c))
+            factors.append((d, c))
         # offsets 0 < d <= M/2 and exponents >= 1 need no reduction or check
         terms.append((multiplicity, CosecantSquaredTerm._make((modulus, tuple(factors)))))
-    return terms, scale
+    return tuple(terms)
 
 
 @lru_cache(maxsize=None)
@@ -210,21 +211,27 @@ def _certified_sum_value(g: int, n: int, k: int, max_bits: int) -> int:
     """The certified pair-form sum, or UnsupportedQuery when the work is too
     large: the subset count is checked first, then, where subsets are
     enumerated (genus >= 2), the subsets times the pairs and profile
-    entries of each (`MAX_PAIR_UPDATES`)."""
+    entries of each (`MAX_PAIR_UPDATES`).  At genus 1 every term is 1, so
+    the sum is the one term C(n+k-1, n-1) and no table is built."""
     count = math.comb(n + k - 1, n - 1)
     if count > MAX_SUM_TERMS:
         raise UnsupportedQuery(
             f"the reduced sum for rank {n}, level {k} has {count} terms, "
             f"above the limit of {MAX_SUM_TERMS}"
         )
-    work = count * (math.comb(n, 2) + (n + k) // 2 + 1)
-    if g > 1 and work > MAX_PAIR_UPDATES:
-        raise UnsupportedQuery(
-            f"the reduced sum for rank {n}, level {k} needs {work} pair updates "
-            f"and profile entries, above the limit of {MAX_PAIR_UPDATES}"
-        )
-    terms, scale = reduced_sum_terms(g, n, k)
-    enclosure = evaluate_sum(terms, scale, _CERTIFY_WIDTH, max_bits=max_bits)
+    if g == 1:
+        terms = ((count, CosecantSquaredTerm(n + k, ())),)
+    else:
+        work = count * (math.comb(n, 2) + (n + k) // 2 + 1)
+        if work > MAX_PAIR_UPDATES:
+            raise UnsupportedQuery(
+                f"the reduced sum for rank {n}, level {k} needs {work} pair updates "
+                f"and profile entries, above the limit of {MAX_PAIR_UPDATES}"
+            )
+        terms = reduced_sum_terms(n, k)
+    scale = (n * (n + k) ** (n - 1)) ** (g - 1)
+    shift = 2 * math.comb(n, 2) * (g - 1)
+    enclosure = evaluate_sum(terms, g - 1, scale, shift, _CERTIFY_BITS, max_bits=max_bits)
     return certify_integer(enclosure)
 
 

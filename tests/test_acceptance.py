@@ -17,6 +17,7 @@ from pathlib import Path
 
 import pytest
 
+from thetadim import verlinde
 from thetadim.checks import GridBounds, InvolutionTriple, _compare, grid_sweep, involution
 from thetadim.cli import main
 from thetadim.intervals import (
@@ -60,6 +61,7 @@ def test_criterion_1_pinned_values():
     with criterion("1 pinned values s(2,0,1)=4 and s(2,0,3)=20 at genus 2"):
         # cold-cache timing
         _certified_sum_value.cache_clear()
+        reduced_sum_terms.cache_clear()
         sin_enclosure.cache_clear()
         for level, expected in ((1, 4), (3, 20)):
             start = time.perf_counter()
@@ -179,62 +181,92 @@ def _trig_queries_from_criteria_1_to_5():
 
 def test_criterion_8_certification_discipline():
     with criterion("8 certification widths < 1/4 and corrupted-modulus negative control"):
+        # the unreduced sum at scale 1 is the integer N_g = s_g (M/n)^g
         for g, n, k in _trig_queries_from_criteria_1_to_5():
-            terms, scale = verlinde_sum_terms(g, n, k)
-            enclosure = evaluate_sum(terms, scale, Fraction(1, 4))
-            assert enclosure.width < Fraction(1, 4), (g, n, k)
+            enclosure = evaluate_sum(verlinde_sum_terms(n, k), g - 1, 1, 0, 2)
+            lo, hi = (Fraction(x, 1 << enclosure.scale_bits) for x in enclosure[:2])
+            assert hi - lo < Fraction(1, 4), (g, n, k)
             # exactly one integer inside
-            assert math.ceil(enclosure.lo) == math.floor(enclosure.hi), (g, n, k)
-            certify_integer(enclosure)
+            assert math.ceil(lo) == math.floor(hi), (g, n, k)
+            total = certify_integer(enclosure)
+            # and the exact division by (M/n)^g leaves no remainder
+            assert total * n**g % (n + k) ** g == 0, (g, n, k)
 
         # negative control: same sums with an off-by-one modulus must be
         # caught by the integrality certificate somewhere on the grid.
         rejected = 0
         for g, n, k in ((2, 2, 1), (2, 2, 2), (2, 3, 1)):
-            terms, scale = verlinde_sum_terms(g, n, k)
             corrupted = [
                 (coeff, SineProductTerm(term.modulus + 1, term.factors))
-                for coeff, term in terms
+                for coeff, term in verlinde_sum_terms(n, k)
             ]
-            enclosure = evaluate_sum(corrupted, scale, Fraction(1, 4))
+            enclosure = evaluate_sum(corrupted, g - 1, 1, 0, 2)
             try:
                 certify_integer(enclosure)
             except NoIntegerInInterval:
                 rejected += 1
         assert rejected >= 1
-        # the (g=2, n=2, k=1) corruption in particular encloses 8*sqrt(2)/3
-        terms, scale = verlinde_sum_terms(2, 2, 1)
-        corrupted = [(c, SineProductTerm(t.modulus + 1, t.factors)) for c, t in terms]
+        # the (g=2, n=2, k=1) corruption in particular encloses N = 6*sqrt(2)
+        corrupted = [
+            (c, SineProductTerm(t.modulus + 1, t.factors)) for c, t in verlinde_sum_terms(2, 1)
+        ]
         with pytest.raises(NoIntegerInInterval):
-            certify_integer(evaluate_sum(corrupted, scale, Fraction(1, 4)))
+            certify_integer(evaluate_sum(corrupted, 1, 1, 0, 2))
 
 
-def _certify_at_first_rung(terms, scale):
-    """(certified integer, rung) of a sum, asserting the a priori rung needed
-    no doubling."""
-    target = Fraction(1, 4)
-    enclosure = evaluate_sum(terms, scale, target)
-    first = _first_rung(
-        [(Fraction(c), t) for c, t in terms], Fraction(scale), target, DEFAULT_MAX_PRECISION_BITS
-    )
+def _certify_at_first_rung(terms, power, scale, shift):
+    """(certified integer, rung) of a sum at the target 1/4, asserting the
+    a priori rung needed no doubling."""
+    enclosure = evaluate_sum(terms, power, scale, shift, 2)
+    first = _first_rung(tuple(terms), power, scale, shift, 2, DEFAULT_MAX_PRECISION_BITS)
     assert enclosure.precision_bits == first
     return certify_integer(enclosure), first
+
+
+def _pair_form(g, n, k):
+    """The (terms, power, scale, shift) that `beauville_sum` hands the
+    kernel for s(n, 0, k) at genus g."""
+    handed = []
+    original = verlinde.evaluate_sum
+
+    def recording(*args, **kwargs):
+        handed.append(args[:4])
+        return original(*args, **kwargs)
+
+    _certified_sum_value.cache_clear()
+    verlinde.evaluate_sum = recording
+    try:
+        beauville_sum(g, n, k)
+    finally:
+        verlinde.evaluate_sum = original
+    [args] = handed
+    return args
+
+
+def _unreduced_at_first_rung(g, n, k):
+    """s_g from the unreduced sum: N_g certified at its a priori rung with
+    power g - 1 and scale 1, then divided exactly by (M/n)^g."""
+    total, _ = _certify_at_first_rung(verlinde_sum_terms(n, k), g - 1, 1, 0)
+    value, remainder = divmod(total * n**g, (n + k) ** g)
+    assert remainder == 0, (g, n, k, total)
+    return value
 
 
 def test_reduced_and_reference_paths_certify_the_same_integers():
     with criterion("reduced sum equals reference sum on the acceptance grid and FROZEN_SUMS"):
         cells = set(_trig_queries_from_criteria_1_to_5()) | set(FROZEN_SUMS)
-        for g, n, k in sorted(cells):
-            terms, scale = reduced_sum_terms(g, n, k)
+        for n, k in sorted({(n, k) for _, n, k in cells}):
+            terms = reduced_sum_terms(n, k)
             # every subset containing n + k counted once, each profile once
             assert sum(c for c, _ in terms) == math.comb(n + k - 1, n - 1)
             assert len({t.factors for _, t in terms}) == len(terms)
-            reduced, _ = _certify_at_first_rung(terms, scale)
-            reference, _ = _certify_at_first_rung(*verlinde_sum_terms(g, n, k))
+        for g, n, k in sorted(cells):
+            reduced, _ = _certify_at_first_rung(*_pair_form(g, n, k))
+            reference = _unreduced_at_first_rung(g, n, k)
             assert reduced == reference == FROZEN_SUMS.get((g, n, k), reduced), (g, n, k)
 
 
-def _grouped_by_definition(g, n, k):
+def _grouped_by_definition(n, k):
     """{factors: multiplicity} of the pair form, with each subset's pairs
     s < s' counted directly by folded offset."""
     modulus = n + k
@@ -244,21 +276,29 @@ def _grouped_by_definition(g, n, k):
         for s, t in itertools.combinations(rest + (modulus,), 2):
             d = min(t - s, modulus - (t - s))
             pairs[d] = pairs.get(d, 0) + 1
-        factors = tuple(sorted((d, (g - 1) * c) for d, c in pairs.items())) if g > 1 else ()
+        factors = tuple(sorted(pairs.items()))
         grouped[factors] = grouped.get(factors, 0) + 1
     return grouped
 
 
 def test_reduced_terms_group_subsets_by_pair_offsets():
     # exact, no trigonometry: the grouped terms equal a brute-force grouping
-    # of the subsets containing n + k by their pair-offset counts
-    for g, n, k in _trig_queries_from_criteria_1_to_5():
+    # of the subsets containing n + k by their pair-offset counts, and the
+    # genus enters only as the power g - 1 and the dyadic scale
+    queries = _trig_queries_from_criteria_1_to_5()
+    for n, k in sorted({(n, k) for _, n, k in queries}):
         modulus = n + k
-        terms, scale = reduced_sum_terms(g, n, k)
-        assert {t.factors: c for c, t in terms} == _grouped_by_definition(g, n, k), (g, n, k)
+        terms = reduced_sum_terms(n, k)
+        assert {t.factors: c for c, t in terms} == _grouped_by_definition(n, k), (n, k)
         assert sum(c for c, _ in terms) == math.comb(modulus - 1, n - 1)
         assert all(type(t) is CosecantSquaredTerm and t.modulus == modulus for _, t in terms)
-        assert scale == Fraction(
+    for g, n, k in queries:
+        modulus = n + k
+        handed, power, scale, shift = _pair_form(g, n, k)
+        if g > 1:
+            assert handed is reduced_sum_terms(n, k)
+        assert power == g - 1
+        assert Fraction(scale, 2**shift) == Fraction(
             (n * modulus ** (n - 1)) ** (g - 1), 4 ** ((g - 1) * math.comb(n, 2))
         )
 
@@ -267,9 +307,9 @@ def test_reduced_terms_group_subsets_by_pair_offsets():
 def test_reduced_path_first_rung_on_deep_values(g, n, k):
     # 100- to 200-bit values: the a priori rung is above the 64-bit start
     # and still certifies without doubling.
-    reduced, bits = _certify_at_first_rung(*reduced_sum_terms(g, n, k))
+    reduced, bits = _certify_at_first_rung(*_pair_form(g, n, k))
     assert bits >= 128
-    assert reduced == _certify_at_first_rung(*verlinde_sum_terms(g, n, k))[0]
+    assert reduced == _unreduced_at_first_rung(g, n, k)
 
 
 # The lookup-deep cells whose a priori rung is 256 bits; the rest start,
@@ -287,7 +327,7 @@ def test_benchmark_cells_certify_at_their_pinned_rungs():
     rungs = {}
     for workload, rows in refs.items():
         for g, n, k, s, _ in rows:
-            value, rungs[workload, g, n, k] = _certify_at_first_rung(*reduced_sum_terms(g, n, k))
+            value, rungs[workload, g, n, k] = _certify_at_first_rung(*_pair_form(g, n, k))
             assert value == int(s), (workload, g, n, k)
     assert len(rungs) == 68
     expected = {
@@ -301,13 +341,13 @@ def test_reduced_path_negative_control():
     with criterion("reduced sum with an off-by-one modulus misses every integer"):
         rejected = 0
         for g, n, k in ((2, 2, 1), (2, 2, 2), (2, 3, 1)):
-            terms, scale = reduced_sum_terms(g, n, k)
+            terms, power, scale, shift = _pair_form(g, n, k)
             corrupted = [
                 (coeff, type(term)(term.modulus + 1, term.factors))
                 for coeff, term in terms
             ]
             try:
-                certify_integer(evaluate_sum(corrupted, scale, Fraction(1, 4)))
+                certify_integer(evaluate_sum(corrupted, power, scale, shift, 2))
             except NoIntegerInInterval:
                 rejected += 1
         assert rejected >= 1

@@ -375,6 +375,15 @@ class TestImportSurface:
         loaded = _modules_loaded_by("import thetadim")
         assert loaded == {"thetadim", "thetadim.intervals", "thetadim.verlinde"}
 
+    def test_package_import_loads_neither_fractions_nor_decimal(self):
+        # the kernel decides on dyadic integers, so the engine needs no
+        # rational arithmetic; `checks` may still load decimal for its reports
+        out, _ = _in_fresh_interpreter(
+            "import sys; import thetadim; "
+            "print(sorted({'fractions', 'decimal'} & set(sys.modules)))"
+        )
+        assert out == "[]\n"
+
     @pytest.mark.parametrize(
         "argv, wanted",
         [

@@ -1,7 +1,11 @@
 """Kernel tests: pi and sine enclosures, sum evaluation, integer certification."""
 
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -18,7 +22,6 @@ from thetadim.intervals import (
     _GUARD_BITS,
     _SINE_EXTRA_BITS,
     _SINE_WIDTH_UNITS,
-    _approx,
     _base_scaled,
     _first_rung,
     _pi_scaled,
@@ -44,20 +47,28 @@ def _sine(m, modulus, bits):
     return tuple(Fraction(b, 2 ** (bits + _GUARD_BITS)) for b in sin_enclosure(m, modulus, bits))
 
 
+def _value(iv):
+    """The exact endpoints of a certified interval, as Fractions."""
+    return Fraction(iv.lo, 1 << iv.scale_bits), Fraction(iv.hi, 1 << iv.scale_bits)
+
+
 class TestCertifiedInterval:
     def test_rejects_inverted_bounds(self):
         with pytest.raises(ValueError):
-            CertifiedInterval(Fraction(2), Fraction(1), 64)
+            CertifiedInterval(2, 1, 0, 64)
 
     def test_rejects_nonpositive_precision(self):
         with pytest.raises(ValueError):
-            CertifiedInterval(Fraction(0), Fraction(1), 0)
+            CertifiedInterval(0, 1, 0, 0)
 
     def test_width_and_contains(self):
-        iv = CertifiedInterval(Fraction(1, 3), Fraction(2, 3), 64)
-        assert iv.width == Fraction(1, 3)
-        assert iv.lo <= Fraction(1, 2) <= iv.hi
-        assert not iv.lo <= 1 <= iv.hi
+        # [3/8, 5/8]: the endpoints are integers at the scale 2**-3
+        iv = CertifiedInterval(3, 5, 3, 64)
+        assert iv.hi - iv.lo == 2 and _value(iv) == (Fraction(3, 8), Fraction(5, 8))
+        assert iv.lo <= 1 << (iv.scale_bits - 1) <= iv.hi
+        assert not iv.lo <= 1 << iv.scale_bits <= iv.hi
+        with pytest.raises(ValueError, match="scale_bits must be nonnegative"):
+            CertifiedInterval(0, 1, -1, 64)
 
 
 class TestPiEnclosure:
@@ -170,55 +181,63 @@ class TestSineProductTerm:
 
 class TestEvaluateSum:
     def test_empty_sum_is_exactly_zero(self):
-        iv = evaluate_sum([], Fraction(5), Fraction(1, 4))
+        iv = evaluate_sum([], 1, 5, 0, 2)
         assert iv.lo == iv.hi == 0
 
     @pytest.mark.parametrize("modulus", range(2, 31))
     def test_full_sine_product_equals_modulus(self, modulus):
         term = SineProductTerm(modulus, tuple((j, 1) for j in range(1, modulus)))
-        iv = evaluate_sum([(Fraction(1), term)], Fraction(1), Fraction(1, 4))
+        iv = evaluate_sum([(1, term)], 1, 1, 0, 2)
         assert certify_integer(iv) == modulus
 
     def test_three_subset_sum_certifies_four(self):
         # Rank-2 level-1 genus-2 sum written out by hand: the three
-        # 2-element subsets of {1, 2, 3}, each term contributing 3.
+        # 2-element subsets of {1, 2, 3}, each term contributing 3, raised
+        # to the power g - 1 = 1; at scale 1 the sum is N = 9, and the
+        # exact division s = N * 2**2 / 3**2 gives 4.
         terms = [
-            (Fraction(1), SineProductTerm(3, ((1 - 3, 1), (2 - 3, 1)))),
-            (Fraction(1), SineProductTerm(3, ((1 - 2, 1), (3 - 2, 1)))),
-            (Fraction(1), SineProductTerm(3, ((2 - 1, 1), (3 - 1, 1)))),
+            (1, SineProductTerm(3, ((1 - 3, 1), (2 - 3, 1)))),
+            (1, SineProductTerm(3, ((1 - 2, 1), (3 - 2, 1)))),
+            (1, SineProductTerm(3, ((2 - 1, 1), (3 - 1, 1)))),
         ]
-        iv = evaluate_sum(terms, Fraction(2, 3) ** 2, Fraction(1, 4))
-        assert certify_integer(iv) == 4
+        total = certify_integer(evaluate_sum(terms, 1, 1, 0, 2))
+        assert total == 9
+        assert divmod(total * 2**2, 3**2) == (4, 0)
+        # at the power 2 each term is 9, and the scale 2 * 2**-1 is 1
+        assert certify_integer(evaluate_sum(terms, 2, 2, 1, 2)) == 27
 
     def test_negative_coefficients_and_scale(self):
         term = SineProductTerm(6, ((1, 2),))  # |2 sin(pi/6)|^2 = 1
-        iv = evaluate_sum([(Fraction(-3), term)], Fraction(-2), Fraction(1, 4))
+        iv = evaluate_sum([(-3, term)], 1, -2, 0, 2)
+        assert certify_integer(iv) == 6
+        # the scale -4 * 2**-1 is the same -2
+        iv = evaluate_sum([(-3, term)], 1, -4, 1, 2)
         assert certify_integer(iv) == 6
 
-    def test_rejects_nonpositive_target(self):
-        with pytest.raises(ValueError):
-            evaluate_sum([], Fraction(1), Fraction(0))
+    def test_rejects_negative_power_or_shift(self):
+        with pytest.raises(ValueError, match="power must be nonnegative"):
+            evaluate_sum([], -1, 1, 0, 2)
+        with pytest.raises(ValueError, match="shift must be nonnegative"):
+            evaluate_sum([], 1, 1, -1, 2)
 
     def test_precision_cap_raises(self):
         term = SineProductTerm(5, ((1, 1),))
-        with pytest.raises(CertificationError):
-            evaluate_sum(
-                [(Fraction(1), term)],
-                Fraction(1),
-                Fraction(1, 2**1000),
-                max_bits=256,
-            )
+        target = f"exceeds target 1/{1 << 1000} at the precision cap"
+        with pytest.raises(CertificationError, match=target):
+            evaluate_sum([(1, term)], 1, 1, 0, 1000, max_bits=256)
 
     @given(
         data=st.data(),
         modulus=st.integers(2, 12),
-        scale=st.fractions(min_value=-8, max_value=8, max_denominator=9).filter(bool),
+        scale=st.integers(-8, 8).filter(bool),
+        shift=st.integers(0, 6),
+        power=st.integers(0, 3),
     )
     @settings(max_examples=60, deadline=None)
-    def test_signed_sums_contain_oracle(self, data, modulus, scale):
+    def test_signed_sums_contain_oracle(self, data, modulus, scale, shift, power):
         factor = st.tuples(st.integers(1, modulus - 1), st.integers(0, 4))
         term = st.tuples(
-            st.fractions(min_value=-6, max_value=6, max_denominator=5),
+            st.integers(-6, 6),
             st.sampled_from([SineProductTerm, CosecantSquaredTerm]),
             st.lists(factor, max_size=3),
         )
@@ -229,17 +248,18 @@ class TestEvaluateSum:
             value = Fraction(coeff)
             for m, e in factors:
                 x = two_sin_fraction(m, modulus, dps=120)
-                value *= (x if kind is SineProductTerm else 4 / x**2) ** e
+                value *= (x if kind is SineProductTerm else 4 / x**2) ** (e * power)
             oracle += value
-        oracle *= scale
-        iv = evaluate_sum(terms, scale, Fraction(1, 2**20))
-        assert iv.lo - ORACLE_SLACK <= oracle <= iv.hi + ORACLE_SLACK
-        assert iv.width <= Fraction(1, 2**20)
+        oracle *= Fraction(scale, 2**shift)
+        iv = evaluate_sum(terms, power, scale, shift, 20)
+        lo, hi = _value(iv)
+        assert lo - ORACLE_SLACK <= oracle <= hi + ORACLE_SLACK
+        assert hi - lo <= Fraction(1, 2**20)
 
     def test_cold_sum_encloses_sines_only_at_its_rung(self, monkeypatch):
         term = SineProductTerm(7, ((1, 1), (2, 1), (3, 1)))  # sqrt(7)
-        target = Fraction(1, 2**200)
-        assert _first_rung([(Fraction(1), term)], Fraction(1), target, 16384) == 256
+        target = 200
+        assert _first_rung([(1, term)], 1, 1, 0, target, 16384) == 256
         original = intervals.sin_enclosure
         requested = []
 
@@ -251,7 +271,7 @@ class TestEvaluateSum:
         _pi_scaled.cache_clear()
         monkeypatch.setattr(intervals, "sin_enclosure", counting)
         try:
-            iv = evaluate_sum([(Fraction(1), term)], Fraction(1), target)
+            iv = evaluate_sum([(1, term)], 1, 1, 0, target)
         finally:
             original.cache_clear()
             _pi_scaled.cache_clear()
@@ -273,8 +293,8 @@ class TestEvaluateSum:
             return original(m, modulus, precision_bits)
 
         monkeypatch.setattr(intervals, "sin_enclosure", counting)
-        _sum_scaled(terms, Fraction(1), 64)
-        _sum_scaled(terms, Fraction(1), 128)
+        _sum_scaled(terms, 1, 64)
+        _sum_scaled(terms, 1, 128)
         assert sorted(requested) == [(1, 64), (1, 128), (2, 64), (2, 128), (4, 64), (4, 128)]
 
     def test_cosecant_factors_are_at_least_one_at_every_lookup_rung(self):
@@ -289,95 +309,121 @@ class TestEvaluateSum:
                     if 2 * m == modulus:
                         assert lo == hi == 1 << work
 
-    def test_no_fraction_is_built_below_evaluate_sum(self, monkeypatch):
-        # sines (offset 4 of 8 is the half turn), bases, powers and sums stay
-        # integers; cold caches make every sine and pi bound run under the stub
-        def no_fraction(*args):
-            raise AssertionError("a Fraction was built below evaluate_sum")
-
-        sums = [
-            [(1, CosecantSquaredTerm(8, ((1, 2), (4, 3)))), (3, CosecantSquaredTerm(8, ()))],
-            [(Fraction(-2, 3), SineProductTerm(7, ((1, 1), (2, 2), (3, 1))))],
-        ]
-        _pi_scaled.cache_clear()
-        sin_enclosure.cache_clear()
-        monkeypatch.setattr(intervals, "Fraction", no_fraction)
-        try:
-            for terms in sums:
-                for bits in (64, 256):
-                    lo, hi, work = _sum_scaled(terms, Fraction(5, 3), bits)
-                    assert type(lo) is type(hi) is int and lo < hi
-        finally:
-            _pi_scaled.cache_clear()
-            sin_enclosure.cache_clear()
+    def test_no_fraction_is_built_below_evaluate_sum(self):
+        # A fresh interpreter, so every sine and pi bound is computed cold,
+        # runs sums of both kinds (offset 4 of 8 is the half turn) to an
+        # integer, through every failure message of the kernel, and the
+        # certified pair form; `fractions` is never even imported, so no
+        # Fraction can have been built.
+        code = """
+import sys
+from thetadim import beauville_sum, intervals as iv
+sums = [
+    [(1, iv.CosecantSquaredTerm(8, ((1, 2), (4, 3)))), (3, iv.CosecantSquaredTerm(8, ()))],
+    [(-2, iv.SineProductTerm(7, ((1, 1), (2, 2), (3, 1))))],
+]
+for terms in sums:
+    for bits in (64, 256):
+        lo, hi, work = iv._sum_scaled(terms, 3, bits)
+        assert type(lo) is type(hi) is int and lo < hi
+    result = iv.evaluate_sum(terms, 2, 5, 3, 2)
+    assert all(type(x) is int for x in result)
+full = iv.SineProductTerm(7, tuple((j, 1) for j in range(1, 7)))
+assert iv.certify_integer(iv.evaluate_sum([(1, full)], 1, 1, 0, 2)) == 7
+for interval, error in ((iv.CertifiedInterval(1, 9, 4, 64), iv.AmbiguousInterval),
+                        (iv.CertifiedInterval(5, 6, 4, 64), iv.NoIntegerInInterval)):
+    try:
+        iv.certify_integer(interval)
+    except error:
+        pass
+try:
+    iv.evaluate_sum([(1, iv.SineProductTerm(5, ((1, 1),)))], 1, 1 << 3000, 0, 2, max_bits=64)
+except iv.CertificationError:
+    pass
+assert beauville_sum(12, 5, 5).value > 0
+print(sorted(name for name in sys.modules if name in ("fractions", "decimal")))
+"""
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env=env, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "[]\n"
 
     def test_width_shrinks_when_precision_doubles(self):
         term = SineProductTerm(7, ((1, 1), (2, 1), (3, 1)))
         widths = []
         for bits in (64, 128, 256):
-            lo, hi, work = _sum_scaled([(Fraction(1), term)], Fraction(1), bits)
+            lo, hi, work = _sum_scaled([(1, term)], 1, bits)
             widths.append(Fraction(hi - lo, 1 << work))
         assert widths[0] > widths[1] > widths[2]
 
 
+def _dyadic(lo, hi):
+    """Dyadic Fractions lo <= hi as one CertifiedInterval at their common scale."""
+    bits = max(lo.denominator, hi.denominator).bit_length() - 1
+    return CertifiedInterval(int(lo * 2**bits), int(hi * 2**bits), bits, 64)
+
+
 class TestCertifyInteger:
     def test_unique_integer(self):
-        iv = CertifiedInterval(Fraction(39, 10), Fraction(41, 10), 64)
+        iv = _dyadic(Fraction(31, 8), Fraction(33, 8))
         assert certify_integer(iv) == 4
 
     def test_no_integer(self):
-        iv = CertifiedInterval(Fraction(34, 10), Fraction(36, 10), 64)
+        iv = _dyadic(Fraction(27, 8), Fraction(29, 8))
         with pytest.raises(NoIntegerInInterval):
             certify_integer(iv)
 
     def test_wide_interval_is_ambiguous(self):
-        iv = CertifiedInterval(Fraction(29, 10), Fraction(41, 10), 64)
+        iv = _dyadic(Fraction(23, 8), Fraction(33, 8))
         with pytest.raises(AmbiguousInterval):
             certify_integer(iv)
 
     def test_width_exactly_half_is_ambiguous(self):
-        iv = CertifiedInterval(Fraction(1, 10), Fraction(6, 10), 64)
+        iv = _dyadic(Fraction(1, 16), Fraction(9, 16))
         with pytest.raises(AmbiguousInterval):
             certify_integer(iv)
 
     def test_degenerate_exact_integer(self):
-        iv = CertifiedInterval(Fraction(7), Fraction(7), 64)
-        assert certify_integer(iv) == 7
+        assert certify_integer(CertifiedInterval(7, 7, 0, 64)) == 7
+        assert certify_integer(CertifiedInterval(7 << 40, 7 << 40, 40, 64)) == 7
 
     def test_negative_values(self):
-        iv = CertifiedInterval(Fraction(-41, 10), Fraction(-39, 10), 64)
+        iv = _dyadic(Fraction(-33, 8), Fraction(-31, 8))
         assert certify_integer(iv) == -4
 
     @given(
         lo=st.one_of(
             st.integers(-6, 6).map(Fraction),
-            st.fractions(min_value=-6, max_value=6, max_denominator=1000),
             st.builds(
                 Fraction, st.integers(-6 << 40, 6 << 40), st.integers(0, 40).map(lambda e: 1 << e)
             ),
         ),
         width=st.one_of(
             st.sampled_from([Fraction(0), Fraction(1, 2), Fraction(1)]),
-            st.fractions(min_value=0, max_value=1, max_denominator=1000),
-            st.builds(Fraction, st.integers(0, 1 << 40), st.just(1 << 40)),
+            st.builds(
+                Fraction, st.integers(0, 1 << 40), st.integers(0, 40).map(lambda e: 1 << e)
+            ).filter(lambda w: w <= 1),
         ),
     )
     @example(lo=Fraction(-1, 4), width=Fraction(1, 2))  # width exactly 1/2 around 0
     @example(lo=Fraction(3), width=Fraction(1, 2))  # width exactly 1/2 from an integer
     @example(lo=Fraction(-9, 4), width=Fraction(1, 4))  # negative, integer upper end
-    @example(lo=Fraction(-7, 3), width=Fraction(1, 12))  # negative, no integer
+    @example(lo=Fraction(-19, 8), width=Fraction(5, 16))  # negative, no integer
     @example(lo=Fraction(-2), width=Fraction(0))  # negative integer, exact
     @settings(max_examples=300, deadline=None)
     def test_matches_fraction_reference(self, lo, width):
         hi = lo + width
-        iv = CertifiedInterval(lo, hi, 64)
-        # the reference: Fraction arithmetic, math.ceil and math.floor
+        iv = _dyadic(lo, hi)
+        assert _value(iv) == (lo, hi)
+        # the reference: Fraction arithmetic, math.ceil and math.floor, and
+        # the Fractions' own correctly rounded floats for the messages
         if width >= Fraction(1, 2):
             kind = AmbiguousInterval
-            message = f"width {_approx(width, '.3g')} >= 1/2; refine before certifying"
+            message = f"width {float(width):.3g} >= 1/2; refine before certifying"
         elif math.ceil(lo) > math.floor(hi):
             kind = NoIntegerInInterval
-            message = f"no integer in [{_approx(lo, '.6f')}, {_approx(hi, '.6f')}]"
+            message = f"no integer in [{float(lo):.6f}, {float(hi):.6f}]"
         else:
             assert certify_integer(iv) == math.ceil(lo) == math.floor(hi)
             return

@@ -3,7 +3,6 @@ repr bytes, rejects assignment, validates the same way for positional and
 keyword construction, and hashes by value."""
 
 import re
-from fractions import Fraction
 
 import pytest
 
@@ -21,8 +20,8 @@ RECORDS = [
      "VerlindeQuery(genus=2, rank=3, degree=0, level=1)"),
     (DimResult, dict(value=4, method="trig-sum", certified=True),
      "DimResult(value=4, method='trig-sum', certified=True)"),
-    (CertifiedInterval, dict(lo=Fraction(1, 3), hi=Fraction(1, 2), precision_bits=64),
-     "CertifiedInterval(lo=Fraction(1, 3), hi=Fraction(1, 2), precision_bits=64)"),
+    (CertifiedInterval, dict(lo=1, hi=3, scale_bits=2, precision_bits=64),
+     "CertifiedInterval(lo=1, hi=3, scale_bits=2, precision_bits=64)"),
     (SineProductTerm, dict(modulus=5, factors=((2, 2), (4, 1))),
      "SineProductTerm(modulus=5, factors=((2, 2), (4, 1)))"),
     (ThetaDescriptor, dict(rank=2, det=DET_F),
@@ -53,10 +52,12 @@ INVALID = [
     (VerlindeQuery, dict(genus=1, rank=1, degree=0, level=0), "level must be >= 1"),
     (DimResult, dict(value=-1, method="trig-sum", certified=True),
      "dimension must be nonnegative"),
-    (CertifiedInterval, dict(lo=Fraction(1, 2), hi=Fraction(1, 3), precision_bits=8),
-     "empty interval: lo=1/2 > hi=1/3"),
-    (CertifiedInterval, dict(lo=Fraction(0), hi=Fraction(1), precision_bits=0),
+    (CertifiedInterval, dict(lo=3, hi=2, scale_bits=2, precision_bits=8),
+     "empty interval: lo=3 > hi=2"),
+    (CertifiedInterval, dict(lo=0, hi=1, scale_bits=0, precision_bits=0),
      "precision_bits must be positive"),
+    (CertifiedInterval, dict(lo=0, hi=1, scale_bits=-1, precision_bits=8),
+     "scale_bits must be nonnegative"),
     (SineProductTerm, dict(modulus=0, factors=()), "modulus must be a positive integer"),
     (SineProductTerm, dict(modulus=5, factors=((1, 1), (10, 2))),
      "offset 10 vanishes modulo 5"),

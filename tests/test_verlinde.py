@@ -1,12 +1,14 @@
 """Engine tests: certified sums, dispatch, transfer, closed forms."""
 
 import math
-from fractions import Fraction
+import re
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from thetadim import verlinde
 from thetadim.intervals import CosecantSquaredTerm, certify_integer, evaluate_sum
 from thetadim.verlinde import (
     METHOD_ELLIPTIC,
@@ -17,6 +19,7 @@ from thetadim.verlinde import (
     DimResult,
     UnsupportedQuery,
     VerlindeQuery,
+    _certified_sum_value,
     beauville_sum,
     gl_dim,
     reduced_sum_terms,
@@ -25,6 +28,18 @@ from thetadim.verlinde import (
     verlinde_sum_terms,
 )
 from trig_oracle import FROZEN_SUMS, brute_force_sum
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def unreduced_value(g, n, k):
+    """s_g from the unreduced reference sum: N_g certified with power g - 1
+    at scale 1, then s_g = N_g * n^g / (n + k)^g, a division that must be
+    exact."""
+    total = certify_integer(evaluate_sum(verlinde_sum_terms(n, k), g - 1, 1, 0, 2))
+    value, remainder = divmod(total * n**g, (n + k) ** g)
+    assert remainder == 0, (g, n, k, total)
+    return value
 
 
 class TestVerlindeQuery:
@@ -44,15 +59,25 @@ class TestVerlindeQuery:
 
 class TestSumTerms:
     def test_subset_count_and_scale(self):
-        terms, scale = verlinde_sum_terms(2, 2, 3)
+        terms = verlinde_sum_terms(2, 3)
         assert len(terms) == math.comb(5, 2)
-        assert scale == Fraction(4, 25)
-        # every term has rank*level factors at genus 2
-        assert all(len(t.factors) == 6 for _, t in terms)
+        # every term has rank*level factors, each of exponent 1, and
+        # coefficient 1
+        assert all(c == 1 and len(t.factors) == 6 for c, t in terms)
+        assert all(e == 1 for _, t in terms for _, e in t.factors)
+        # at genus 2 (power 1) and scale 1 the sum is N_2 = s_2 * (5/2)^2,
+        # and the scale (2/5)^2 divides it exactly
+        total = certify_integer(evaluate_sum(terms, 1, 1, 0, 2))
+        assert total == 125
+        assert divmod(total * 2**2, 5**2) == (20, 0)
 
-    def test_genus_one_terms_are_empty_products(self):
-        terms, _ = verlinde_sum_terms(1, 3, 2)
-        assert all(t.factors == () for _, t in terms)
+    def test_genus_one_power_zero_counts_subsets(self):
+        # at genus 1 the power is 0, so every term is 1 and N_1 counts the
+        # C(5, 3) subsets; s_1 = N_1 * 3/5
+        terms = verlinde_sum_terms(3, 2)
+        total = certify_integer(evaluate_sum(terms, 0, 1, 0, 2))
+        assert total == math.comb(5, 3)
+        assert unreduced_value(1, 3, 2) == 6
 
 
 class TestBeauvilleSum:
@@ -93,15 +118,24 @@ class TestBeauvilleSum:
         # the reference sums all n-subsets of Z/(n + k) as sine products and
         # shares no reduction with the pair form behind beauville_sum
         n, k = nk
-        reference = certify_integer(evaluate_sum(*verlinde_sum_terms(g, n, k), Fraction(1, 4)))
-        assert beauville_sum(g, n, k).value == reference
+        assert beauville_sum(g, n, k).value == unreduced_value(g, n, k)
 
-    def test_genus_one_is_one_term(self):
-        # the C(4, 2) subsets containing 5, each an empty product, at scale 1
-        terms, scale = reduced_sum_terms(1, 3, 2)
-        assert terms == [(6, CosecantSquaredTerm(5, ()))]
-        assert type(terms[0][1]) is CosecantSquaredTerm
-        assert scale == 1
+    def test_genus_one_is_one_term(self, monkeypatch):
+        # the C(4, 2) subsets containing 5, each an empty product, at power
+        # 0 and scale 1, and no pair-form table is built
+        handed = []
+
+        def recording(terms, *args, **kwargs):
+            handed.append((terms, *args))
+            return evaluate_sum(terms, *args, **kwargs)
+
+        _certified_sum_value.cache_clear()
+        reduced_sum_terms.cache_clear()
+        monkeypatch.setattr(verlinde, "evaluate_sum", recording)
+        assert beauville_sum(1, 3, 2).value == 6
+        assert handed == [(((6, CosecantSquaredTerm(5, ())),), 0, 1, 0, 2)]
+        assert type(handed[0][0][0][1]) is CosecantSquaredTerm
+        assert reduced_sum_terms.cache_info().misses == 0
 
     def test_work_bounds(self):
         # the subset count is checked first; the pair work only where
@@ -112,6 +146,33 @@ class TestBeauvilleSum:
         with pytest.raises(UnsupportedQuery, match="pair updates"):
             beauville_sum(2, 500, 1)
         assert beauville_sum(1, 500, 1).value == 500
+
+
+class TestPairFormTable:
+    def test_one_table_serves_every_genus(self):
+        # the subsets of one (n, k) are walked once for genera 2..30
+        _certified_sum_value.cache_clear()
+        reduced_sum_terms.cache_clear()
+        values = [beauville_sum(g, 3, 4).value for g in range(2, 31)]
+        assert reduced_sum_terms.cache_info().misses == 1
+        assert values[:2] == [FROZEN_SUMS.get((2, 3, 4)), FROZEN_SUMS.get((3, 3, 4))]
+
+    def test_table_is_a_tuple_of_genus_free_profiles(self):
+        table = reduced_sum_terms(4, 3)
+        assert type(table) is tuple
+        assert all(type(entry) is tuple for entry in table)
+        # the exponents are the pair counts c_d: the C(4, 2) pairs of each
+        # subset, whatever the genus
+        assert all(sum(c for _, c in t.factors) == math.comb(4, 2) for _, t in table)
+        assert sum(m for m, _ in table) == math.comb(6, 3)
+        assert reduced_sum_terms(4, 3) is table
+
+    def test_cache_bound_is_finite_and_documented(self):
+        maxsize = reduced_sum_terms.cache_parameters()["maxsize"]
+        assert maxsize is not None and maxsize > 0
+        text = " ".join(README.read_text().split())
+        documented = re.search(r"`verlinde\.reduced_sum_terms`, at most (\d+) tables", text)
+        assert documented and int(documented.group(1)) == maxsize
 
 
 class TestSlDim:
