@@ -14,7 +14,7 @@ guessing.
 """
 
 import math
-from collections import Counter, namedtuple
+from collections import namedtuple
 from functools import lru_cache
 from itertools import combinations
 from operator import add
@@ -154,11 +154,21 @@ def reduced_sum_terms(n: int, k: int) -> tuple[tuple[int, CosecantSquaredTerm], 
     a right shift by 2 (g-1) C(n, 2) bits.  The profiles come from a walk
     over the subsets, one element at a time, in which each new element
     adds its pairs to its prefix's counts, so the pairs of a prefix are
-    counted once for all the subsets that share it.  At rank 1 the one
-    subset {M} has no pairs, so the single empty term is returned without
-    a walk.  Tables are cached per (n, k), at most 32 of them, the least
-    recently used dropped first, so a sweep over genera walks the subsets
-    of each (n, k) once.
+    counted once for all the subsets that share it.  The walk counts each
+    subset's profile where it completes the subset, in one dict from
+    profile to multiplicity, so the terms come in the lexicographic order
+    of each profile's first subset, and a build holds the distinct
+    profiles plus one pending list per level of the current path, never
+    one entry per subset.  Where every remaining candidate must join the
+    subset, they are a run of consecutive integers and the subset is
+    completed in one step, so at level 1 the walk does about n^2 packed
+    additions, not n^3.  At rank 1 the one subset {M} has no pairs, so
+    the single empty term is returned without a walk.  Tables are cached
+    per (n, k), at most 32 of them, the least recently used dropped
+    first.  A sweep that runs genus by genus therefore walks the subsets
+    of each (n, k) once only while its grid has at most 32 cells; over a
+    larger grid every table is dropped before the next genus asks for it
+    again.
 
     The symmetry S -> complement of S is deliberately not used: it would
     turn s(n, 0, k) and s(k, 0, n) into one computation and make the
@@ -176,25 +186,39 @@ def reduced_sum_terms(n: int, k: int) -> tuple[tuple[int, CosecantSquaredTerm], 
     mask = (1 << width) - 1
     # step[j - 1] packs one pair at offset j, for 0 < j < M
     step = [1 << (width * min(j, modulus - j)) for j in range(1, modulus)]
-    leaves: list[int] = []
+    counts: dict[int, int] = {}
 
     def walk(key: int, pending: list[int], left: int) -> None:
         # Depth first, one element at a time in increasing order: `key`
         # packs the pairs among the prefix and M, `left` elements remain to
         # be chosen, and pending[i] packs the pairs that the prefix's i-th
         # candidate for the next element would add.  The candidates after
-        # it each get one more pair, with the element just added.  Within
-        # MAX_PAIR_UPDATES the recursion is at most 463 deep (rank 464,
-        # level 1).
+        # it each get one more pair, with the element just added.  Each
+        # subset's profile is counted where the walk completes it, so
+        # profiles enter `counts` in lexicographic order of their first
+        # subset.  Within MAX_PAIR_UPDATES the recursion is at most 463
+        # deep (rank 464, level 1).
         if left == 1:
-            leaves.extend([key + p for p in pending])
+            for p in pending:
+                p += key
+                counts[p] = counts.get(p, 0) + 1
+            return
+        if left == len(pending):
+            # No choice is left: the candidates are the run of consecutive
+            # integers up to M - 1, and all of them join S.  Among
+            # themselves they have left - j pairs at offset j.
+            key += sum(pending) + sum((left - j) * step[j - 1] for j in range(1, left))
+            counts[key] = counts.get(key, 0) + 1
             return
         for i in range(len(pending) - left + 1):
             walk(key + pending[i], list(map(add, pending[i + 1:], step)), left - 1)
 
     walk(0, step, n - 1)
+    # `walk` refers to itself through its closure cell; dropping the name
+    # empties the cell, so no reference cycle outlives the call
+    del walk
     terms = []
-    for key, multiplicity in Counter(leaves).items():
+    for key, multiplicity in counts.items():
         factors = []
         while key:
             d = ((key & -key).bit_length() - 1) // width

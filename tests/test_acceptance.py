@@ -6,6 +6,7 @@ as interval-width and wall-clock bounds) and prints one pass/fail line.
 Run with `pytest tests/test_acceptance.py -v -s` to see the lines.
 """
 
+import gc
 import itertools
 import json
 import math
@@ -266,9 +267,10 @@ def test_reduced_and_reference_paths_certify_the_same_integers():
             assert reduced == reference == FROZEN_SUMS.get((g, n, k), reduced), (g, n, k)
 
 
-def _grouped_by_definition(n, k):
-    """{factors: multiplicity} of the pair form, with each subset's pairs
-    s < s' counted directly by folded offset."""
+def _table_by_definition(n, k):
+    """The pair-form table built subset by subset: each subset's pairs
+    s < s' counted directly by folded offset, one (multiplicity, term) per
+    distinct profile, in the lexicographic order of its first subset."""
     modulus = n + k
     grouped = {}
     for rest in itertools.combinations(range(1, modulus), n - 1):
@@ -278,18 +280,29 @@ def _grouped_by_definition(n, k):
             pairs[d] = pairs.get(d, 0) + 1
         factors = tuple(sorted(pairs.items()))
         grouped[factors] = grouped.get(factors, 0) + 1
-    return grouped
+    return tuple((c, CosecantSquaredTerm(modulus, f)) for f, c in grouped.items())
 
 
 def test_reduced_terms_group_subsets_by_pair_offsets():
-    # exact, no trigonometry: the grouped terms equal a brute-force grouping
-    # of the subsets containing n + k by their pair-offset counts, and the
-    # genus enters only as the power g - 1 and the dyadic scale
+    # exact, no trigonometry: the table equals a brute-force grouping of the
+    # subsets containing n + k by their pair-offset counts, term for term and
+    # in order (the rung estimate sums floats in term order), and the genus
+    # enters only as the power g - 1 and the dyadic scale
     queries = _trig_queries_from_criteria_1_to_5()
-    for n, k in sorted({(n, k) for _, n, k in queries}):
+    lookup_cells = {
+        (n, k) for rows in json.loads(LOOKUPS.read_text()).values() for _, n, k, _, _ in rows
+    }
+    small_cells = {
+        (n, modulus - n)
+        for modulus in range(2, 17)
+        for n in range(1, modulus)
+        if math.comb(modulus - 1, n - 1) <= 2000
+    }
+    assert lookup_cells <= small_cells
+    for n, k in sorted(small_cells | {(n, k) for _, n, k in queries}):
         modulus = n + k
         terms = reduced_sum_terms(n, k)
-        assert {t.factors: c for c, t in terms} == _grouped_by_definition(n, k), (n, k)
+        assert terms == _table_by_definition(n, k), (n, k)
         assert sum(c for c, _ in terms) == math.comb(modulus - 1, n - 1)
         assert all(type(t) is CosecantSquaredTerm and t.modulus == modulus for _, t in terms)
     for g, n, k in queries:
@@ -301,6 +314,18 @@ def test_reduced_terms_group_subsets_by_pair_offsets():
         assert Fraction(scale, 2**shift) == Fraction(
             (n * modulus ** (n - 1)) ** (g - 1), 4 ** ((g - 1) * math.comb(n, 2))
         )
+
+
+def test_table_build_leaves_no_cyclic_garbage():
+    # the walk's closure must not outlive the call: with the collector off,
+    # a build leaves nothing for gc.collect() to find
+    gc.disable()
+    try:
+        gc.collect()
+        reduced_sum_terms.__wrapped__(4, 5)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 @pytest.mark.parametrize("g,n,k", [(12, 5, 5), (30, 3, 2), (60, 4, 1), (96, 4, 1)])
