@@ -22,15 +22,16 @@ Each identity is written once, as the two sides of its comparison at one
 instance (g, n, d, k), and one sweep, `grid_sweep`, drives them all.
 Queries the engine cannot evaluate are skipped and counted, never treated
 as failures, and a sweep that runs no instance is "empty", not passed.
-Sweeps enumerate lexicographically in (g, n, d, k) and report failures in
-that order, so reports are reproducible; instances are independent, so
-they may be evaluated concurrently without changing the report.
+Sweeps enumerate (n, k) outermost, then the genus, then the degree, so
+each pair-form table is built once per sweep and serves every genus of
+its cell, and report failures sorted into (g, n, d, k) order, so reports
+are reproducible; instances are independent, so they may be evaluated
+concurrently without changing the report.
 """
 
 import itertools
 import math
 from collections import namedtuple
-from decimal import Decimal
 
 from .intervals import DEFAULT_MAX_PRECISION_BITS
 from .theta import complementary_invariants
@@ -212,7 +213,10 @@ def _compare(check: str, inputs: tuple, bits: int, negative_control: bool = Fals
 
 def _text(side) -> str:
     """str(side); an int is written through Decimal, which, unlike str, has
-    no digit limit, so a library caller never needs to lift that limit."""
+    no digit limit, so a library caller never needs to lift that limit.
+    Only a failure is formatted, so a passing sweep never loads `decimal`."""
+    from decimal import Decimal
+
     return str(Decimal(side)) if isinstance(side, int) else str(side)
 
 
@@ -228,22 +232,25 @@ def grid_sweep(
     Unsupported instances are skipped and counted separately.  With
     `negative_control` the right-hand side of every comparison is
     deliberately perturbed, so failures are expected: this exercises the
-    failure-reporting path itself.
+    failure-reporting path itself.  Failures are listed in (g, n, d, k)
+    order, whatever the order of evaluation.
     """
     if check not in _CHECKS:
         raise ValueError(f"unknown check {check!r}; expected one of {CHECK_NAMES}")
     _, genera, degrees = _CHECKS[check]
+    # (n, k) outermost, so a cell's genera follow each other and share its
+    # table in `verlinde.reduced_sum_terms`, whatever the size of the grid
     grid = itertools.product(
-        genera(bounds),
         range(1, bounds.max_rank + 1),
-        degrees(bounds),
         range(1, bounds.max_level + 1),
+        genera(bounds),
+        degrees(bounds),
     )
     instances = skipped = 0
     failures = []
-    for inputs in grid:
+    for n, k, g, d in grid:
         try:
-            failure = _compare(check, inputs, max_precision_bits, negative_control)
+            failure = _compare(check, (g, n, d, k), max_precision_bits, negative_control)
         except UnsupportedQuery:
             skipped += 1
             continue
@@ -255,7 +262,8 @@ def grid_sweep(
     if negative_control:
         name += " [negative-control]"
         note = (note + "; " if note else "") + "right-hand sides deliberately perturbed"
-    return CheckReport(name, instances, tuple(failures), skipped, note)
+    # the inputs are distinct, so failures sort by them alone
+    return CheckReport(name, instances, tuple(sorted(failures)), skipped, note)
 
 
 def _perturb(rhs):

@@ -19,7 +19,10 @@ trigonometric sum over more than `verlinde.MAX_SUM_TERMS` subsets or, at
 genus >= 2, of more than `verlinde.MAX_PAIR_UPDATES` pair updates and
 profile entries, both rejected before any work, a check whose bounds leave no
 instance to run, reported as EMPTY, and a `factor` precondition the theta
-layer rejects), 3 certification failure, 64 usage error (including an
+layer rejects), 3 certification failure (stderr gives the width that
+missed the target at the precision cap; a sum whose a priori estimate lies
+beyond twice the cap and 128 bits fails before it is evaluated, and the
+message then reads "estimated width"), 64 usage error (including an
 unknown check name, a `--max-precision-bits` below 1 and `factor` ranks
 below 1).  The `thetadim` entry point (`run`) restores the default SIGPIPE
 disposition where the platform has one, so a reader that closes stdout

@@ -28,13 +28,17 @@ Arb's dyadic arithmetic (Johansson, "Arb: efficient arbitrary-precision
 midpoint-radius interval arithmetic", IEEE Trans. Computers, 2017).  The
 sine enclosures are integer bounds at that scale too, so they enter as
 they are; a csc^2 factor is 4 / x^2 of the sine enclosure x, rounded
-outward at the same scale.  Each sine is fetched once per evaluation and
-precision, and each distinct power once.  A csc^2 factor is >= 1, so its
+outward at the same scale.  None of these depends on the genus, so each
+sine and each csc^2 base is enclosed once per process and rung, and each
+base's float estimate (see below) once per process, in caches beside the
+pi bounds; only the powers, which the genus scales, are computed per
+evaluation, each distinct one once.  A csc^2 factor is >= 1, so its
 rounding errors stay relative to the term, while a sine below 1 carries an
 absolute one.  The precision is a rung of the ladder 64 * 2**j, and the
 first rung is chosen a priori from a float estimate of the magnitudes and
 rounding count involved, so a sum is normally certified in one precision
-step; doubling remains as the fallback, up to a hard cap.  Floats only
+step; doubling remains as the fallback, up to a hard cap, and an estimate
+far beyond the cap fails before any enclosure is computed.  Floats only
 choose the rung, never an endpoint.  The integer coefficients and scale
 multiply the bounds exactly, and the shift only moves the scale, so the
 result is the dyadic interval [lo, hi] / 2**(w + shift)
@@ -42,8 +46,8 @@ result is the dyadic interval [lo, hi] / 2**(w + shift)
 `certify_integer` decides with integer shifts.  Nothing here builds a
 Fraction.
 
-Everything here is a pure function of its inputs; the per-precision caches
-are idempotent write-once tables, so concurrent use is safe.
+Everything here is a pure function of its inputs; the caches are
+idempotent write-once tables, so concurrent use is safe.
 """
 
 import math
@@ -320,15 +324,23 @@ def _approx(numerator: int, bits: int, spec: str) -> str:
         return f"{'-' if numerator < 0 else ''}2**{math.log2(abs(numerator)) - bits:.1f}"
 
 
+@lru_cache(maxsize=None)
 def _base_estimate(cosecant: bool, modulus: int, m: int) -> tuple[float, float]:
     """Float estimates, for `_first_rung`, of log2 of a factor's base and of
     its enclosure's relative error in units of the working scale: a sine
     x = 2 sin(pi m / M) is _SINE_WIDTH_UNITS units wide, and csc^2 = 4/x^2
-    doubles its relative error and adds one unit of rounding."""
+    doubles its relative error and adds one unit of rounding.  They depend
+    on no genus, so each (kind, M, m) is estimated once per process."""
     x = 2 * math.sin(math.pi * m / modulus)
     if cosecant:
         return 2.0 - 2 * math.log2(x), 2 * _SINE_WIDTH_UNITS / x + 1
     return math.log2(x), _SINE_WIDTH_UNITS / x
+
+
+def _cap_error(width: str, target_bits: int, cap: int) -> CertificationError:
+    """The error for a width, estimated or evaluated, that misses the target at the cap."""
+    target = f"1/{1 << target_bits}" if target_bits > 0 else str(1 << -target_bits)
+    return CertificationError(f"{width} exceeds target {target} at the precision cap ({cap} bits)")
 
 
 def _first_rung(
@@ -349,30 +361,22 @@ def _first_rung(
     `power`.  Factors below 1, which only sine products have, carry an
     absolute error and are counted as 1.  Floats only choose the rung: the
     enclosure itself stays rigorous, and the ladder still doubles if the
-    estimate falls short.
+    estimate falls short.  An estimate beyond twice the cap, and beyond
+    128 bits, misses the cap by far more than the estimate's crudeness, so
+    it raises CertificationError before any pi, sine or product is
+    computed, with the estimated width at the cap in its message.
     """
-    costs: dict[tuple[bool, int], dict[tuple[int, int], tuple[float, float]]] = {}
     bounds = []
     for coeff, term in prepared:
         if not coeff:
             continue
-        kind = (isinstance(term, CosecantSquaredTerm), term.modulus)
-        table = costs.get(kind)
-        if table is None:
-            table = costs[kind] = {}
+        cosecant = isinstance(term, CosecantSquaredTerm)
         log_size, roundings = math.log2(abs(coeff)), 2.0
-        for factor in term.factors:
-            cost = table.get(factor)
-            if cost is None:
-                m, e = factor
-                e *= power
-                log_base, error_units = _base_estimate(*kind, m)
-                cost = table[factor] = (
-                    max(e * log_base, 0.0),
-                    e * error_units + 2 * e.bit_length() + 2,
-                )
-            log_size += cost[0]
-            roundings += cost[1]
+        for m, e in term.factors:
+            e *= power
+            log_base, error_units = _base_estimate(cosecant, term.modulus, m)
+            log_size += max(e * log_base, 0.0)
+            roundings += e * error_units + 2 * e.bit_length() + 2
         bounds.append(log_size + math.log2(roundings))
     needed = 0.0
     if bounds and scale:
@@ -381,16 +385,21 @@ def _first_rung(
         needed = (
             error_log2 + math.log2(abs(scale)) - shift + target_bits + _MARGIN_BITS - _GUARD_BITS
         )
+    if needed > max(2 * max_bits, 128):
+        width_log2 = needed - _MARGIN_BITS - target_bits - max_bits
+        raise _cap_error(f"estimated width 2**{width_log2:.1f}", target_bits, max_bits)
     precision = min(_START_BITS, max_bits)
     while precision < needed and precision < max_bits:
         precision = min(2 * precision, max_bits)
     return precision
 
 
+@lru_cache(maxsize=None)
 def _base_scaled(cosecant: bool, modulus: int, m: int, precision: int) -> tuple[int, int]:
     """Bounds on a factor's base at the working scale 2**-w of `precision`:
     the sine enclosure x of 2 sin(pi m / M) as it is, or csc^2(pi m / M) =
-    4 / x^2, floored from x's upper bound and ceiled from its lower one."""
+    4 / x^2, floored from x's upper bound and ceiled from its lower one.
+    Like the sine, each (kind, M, m, rung) is enclosed once per process."""
     lo, hi = sin_enclosure(m, modulus, precision)
     if not cosecant:
         return lo, hi
@@ -403,12 +412,12 @@ def _sum_scaled(
 ) -> tuple[int, int, int]:
     """Bounds (lo, hi, w) with sum(coeff * term**power) in [lo, hi] / 2**w.
 
-    Each distinct base is enclosed once, from one sine enclosure, and each
-    distinct power of it once; both are shared by every term that uses them.
+    Each distinct base comes from the cached `_base_scaled`, and each
+    distinct power of it is computed once per call and shared by every term
+    that uses it; only the powers depend on `power`, hence on the genus.
     The integer coefficients multiply a term's bounds exactly.
     """
     work = precision + _GUARD_BITS
-    bases: dict[tuple[bool, int, int], tuple[int, int]] = {}
     # (kind, modulus) -> {(offset, exponent): power}
     powers: dict[tuple[bool, int], dict[tuple[int, int], tuple[int, int]]] = {}
     total_lo = total_hi = 0
@@ -422,9 +431,7 @@ def _sum_scaled(
             bound = table.get(factor)
             if bound is None:
                 m, e = factor
-                base = bases.get((*kind, m))
-                if base is None:
-                    base = bases[(*kind, m)] = _base_scaled(*kind, m, precision)
+                base = _base_scaled(*kind, m, precision)
                 bound = table[factor] = _power_scaled(*base, e * power, work)
             lo = (lo * bound[0]) >> work
             hi = -((-hi * bound[1]) >> work)
@@ -456,7 +463,8 @@ def evaluate_sum(
     precision is the rung of the ladder 64 * 2**j that an a priori estimate
     expects to meet the target (see `_first_rung`); the precision doubles
     from there only if it does not, and exceeding `max_bits` raises
-    CertificationError.  An empty term list yields the exact interval
+    CertificationError, as does, before any enclosure, an estimate beyond
+    twice `max_bits`.  An empty term list yields the exact interval
     [0, 0].
     """
     if power < 0:
@@ -470,10 +478,7 @@ def evaluate_sum(
     precision = _first_rung(prepared, power, scale, shift, target_bits, max_bits)
     while True:
         lo, hi, work = _sum_scaled(prepared, power, precision)
-        if scale < 0:
-            lo, hi = hi, lo
-        lo *= scale
-        hi *= scale
+        lo, hi = (lo * scale, hi * scale) if scale >= 0 else (hi * scale, lo * scale)
         bits = work + shift
         # the width (hi - lo) / 2**bits meets 2**-target_bits when hi - lo is
         # at most 2**room, which below 2**0 only 0 is
@@ -481,11 +486,7 @@ def evaluate_sum(
         if hi - lo <= (1 << room if room >= 0 else 0):
             return CertifiedInterval._make((lo, hi, bits, precision))
         if precision >= max_bits:
-            target = f"1/{1 << target_bits}" if target_bits > 0 else str(1 << -target_bits)
-            raise CertificationError(
-                f"width {_approx(hi - lo, bits, '.3g')} exceeds target "
-                f"{target} at the precision cap ({max_bits} bits)"
-            )
+            raise _cap_error(f"width {_approx(hi - lo, bits, '.3g')}", target_bits, max_bits)
         precision = min(2 * precision, max_bits)
 
 

@@ -165,10 +165,8 @@ def reduced_sum_terms(n: int, k: int) -> tuple[tuple[int, CosecantSquaredTerm], 
     additions, not n^3.  At rank 1 the one subset {M} has no pairs, so
     the single empty term is returned without a walk.  Tables are cached
     per (n, k), at most 32 of them, the least recently used dropped
-    first.  A sweep that runs genus by genus therefore walks the subsets
-    of each (n, k) once only while its grid has at most 32 cells; over a
-    larger grid every table is dropped before the next genus asks for it
-    again.
+    first; a check sweep asks for every genus of one (n, k) in a row, so
+    it builds each table once.
 
     The symmetry S -> complement of S is deliberately not used: it would
     turn s(n, 0, k) and s(k, 0, n) into one computation and make the

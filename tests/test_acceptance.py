@@ -26,6 +26,8 @@ from thetadim.intervals import (
     CosecantSquaredTerm,
     NoIntegerInInterval,
     SineProductTerm,
+    _base_estimate,
+    _base_scaled,
     _first_rung,
     certify_integer,
     evaluate_sum,
@@ -63,6 +65,8 @@ def test_criterion_1_pinned_values():
         # cold-cache timing
         _certified_sum_value.cache_clear()
         reduced_sum_terms.cache_clear()
+        _base_scaled.cache_clear()
+        _base_estimate.cache_clear()
         sin_enclosure.cache_clear()
         for level, expected in ((1, 4), (3, 20)):
             start = time.perf_counter()

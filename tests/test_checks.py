@@ -196,6 +196,29 @@ class TestGridSweep:
         report = grid_sweep("elliptic", GridBounds(3, 3, 1, 1, 0), negative_control=True)
         assert [f.inputs for f in report.failures] == sorted(f.inputs for f in report.failures)
 
+    def test_sweep_builds_each_table_once(self):
+        # 36 (n, k) cells over seven genera: more cells than the 32-table
+        # cache holds, yet each table is built once, because a cell's
+        # genera are swept together; (k, n) reuses the sums of (n, k)
+        verlinde._certified_sum_value.cache_clear()
+        verlinde.reduced_sum_terms.cache_clear()
+        report = grid_sweep("bott-szenes", GridBounds(6, 6, 2, 8, 0))
+        assert report.passed and report.instances_run == 252
+        assert verlinde.reduced_sum_terms.cache_info().misses == 36
+
+    def test_failures_in_genus_major_order_over_a_large_grid(self):
+        # 36 (n, k) cells, two genera, three degrees: the report lists the
+        # failures as a loop over g, then n, d and k would meet them
+        report = grid_sweep("involution", GridBounds(6, 6, 2, 3, 1), negative_control=True)
+        expected = [
+            (g, n, d, k)
+            for g in (2, 3)
+            for n in range(1, 7)
+            for d in (-1, 0, 1)
+            for k in range(1, 7)
+        ]
+        assert [f.inputs for f in report.failures] == expected
+
     def test_json_dict_schema(self):
         report = grid_sweep("bott-szenes", GridBounds(2, 2, 2, 2, 0))
         payload = report.to_json_dict()

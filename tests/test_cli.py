@@ -4,6 +4,7 @@ import ast
 import contextlib
 import json
 import os
+import re
 import resource
 import signal
 import subprocess
@@ -73,12 +74,26 @@ class TestDim:
         assert "certification failed" in err
 
     def test_certification_failure_beyond_float_range(self, capsys):
-        # a 4001-bit value at a 64-bit cap: the reported width exceeds any float
+        # a 4001-bit value at a 64-bit cap: the estimate asks for more than
+        # twice the cap, so it fails before the sum is evaluated, and the
+        # estimated width exceeds any float
         code, _, err = run_cli(capsys, "dim", "sl", "--genus", "2000", "--rank", "4",
                                "--degree", "0", "--level", "1",
                                "--max-precision-bits", "64")
         assert code == EXIT_CERTIFICATION
-        assert "certification failed: width 2**" in err
+        assert re.fullmatch(r"certification failed: estimated width 2\*\*\d+\.\d exceeds "
+                            r"target 1/4 at the precision cap \(64 bits\)\n", err), err
+
+    def test_certification_failure_reports_the_evaluated_width(self, capsys):
+        # the same value at a 2048-bit cap: the estimate lies between the cap
+        # and twice the cap, so the sum is evaluated at the cap and its
+        # width, again beyond float range, is reported
+        code, _, err = run_cli(capsys, "dim", "sl", "--genus", "2000", "--rank", "4",
+                               "--degree", "0", "--level", "1",
+                               "--max-precision-bits", "2048")
+        assert code == EXIT_CERTIFICATION
+        assert re.fullmatch(r"certification failed: width 2\*\*\d+\.\d exceeds "
+                            r"target 1/4 at the precision cap \(2048 bits\)\n", err), err
 
     def test_negative_degree_flag(self, capsys):
         code, out, _ = run_cli(capsys, "dim", "gl", "--genus", "2", "--rank", "2",
@@ -383,6 +398,26 @@ class TestImportSurface:
             "print(sorted({'fractions', 'decimal'} & set(sys.modules)))"
         )
         assert out == "[]\n"
+
+    @pytest.mark.parametrize(
+        "argv, code, wanted",
+        [
+            (["check", "theorem1"], 0, []),
+            (["check", "theorem1", "--format", "json"], 0, []),
+            (["check", "theorem1", "--negative-control"], 1, ["decimal"]),
+        ],
+        ids=["text", "json", "failing"],
+    )
+    def test_passing_check_loads_neither_fractions_nor_decimal(self, argv, code, wanted):
+        # `checks` writes a side through Decimal only to report a failure,
+        # so only the failing run loads it
+        out, _ = _in_fresh_interpreter(
+            "import contextlib, io, sys\nfrom thetadim.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    code = main({argv!r})\n"
+            "print(code, sorted({'fractions', 'decimal'} & set(sys.modules)))"
+        )
+        assert out == f"{code} {wanted}\n"
 
     @pytest.mark.parametrize(
         "argv, wanted",

@@ -22,6 +22,7 @@ from thetadim.intervals import (
     _GUARD_BITS,
     _SINE_EXTRA_BITS,
     _SINE_WIDTH_UNITS,
+    _base_estimate,
     _base_scaled,
     _first_rung,
     _pi_scaled,
@@ -267,6 +268,8 @@ class TestEvaluateSum:
             requested.append(precision_bits)
             return original(m, modulus, precision_bits)
 
+        # the bases are cached above the sines, so both start cold
+        _base_scaled.cache_clear()
         original.cache_clear()
         _pi_scaled.cache_clear()
         monkeypatch.setattr(intervals, "sin_enclosure", counting)
@@ -292,10 +295,35 @@ class TestEvaluateSum:
             requested.append((m, precision_bits))
             return original(m, modulus, precision_bits)
 
+        # the bases are cached above the sines, so both start cold
+        _base_scaled.cache_clear()
+        original.cache_clear()
         monkeypatch.setattr(intervals, "sin_enclosure", counting)
         _sum_scaled(terms, 1, 64)
         _sum_scaled(terms, 1, 128)
         assert sorted(requested) == [(1, 64), (1, 128), (2, 64), (2, 128), (4, 64), (4, 128)]
+        # another genus (power) at a rung already seen requests no sine
+        _sum_scaled(terms, 2, 64)
+        assert len(requested) == 6
+
+    def test_first_rung_estimates_each_base_once(self):
+        # two tables over the modulus 11 share the offsets 1 and 3; each
+        # distinct (kind, M, m) is estimated once, whatever the power
+        first = [
+            (2, CosecantSquaredTerm(11, ((1, 2), (3, 1)))),
+            (5, CosecantSquaredTerm(11, ((1, 1), (4, 3)))),
+        ]
+        second = [
+            (1, CosecantSquaredTerm(11, ((3, 4), (5, 1)))),
+            (1, SineProductTerm(11, ((1, 1),))),
+        ]
+        _base_estimate.cache_clear()
+        rungs = [_first_rung(first, power, 1, 0, 2, 16384) for power in (1, 57)]
+        assert _base_estimate.cache_info().misses == 3
+        assert rungs[0] < rungs[1]
+        _first_rung(second, 1, 1, 0, 2, 16384)
+        # offset 5 is new, and offset 1 as a sine is a new kind
+        assert _base_estimate.cache_info().misses == 5
 
     def test_cosecant_factors_are_at_least_one_at_every_lookup_rung(self):
         # the lookup cells have moduli n + k <= 16 and certify at 64, 128
