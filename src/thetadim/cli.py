@@ -14,6 +14,13 @@ attributes resolved on first use (PEP 562) through the package's lazy-name
 table, and the handlers call whatever this module holds under each name at
 call time.
 
+Each subcommand's options are declared once, in the command table
+`_COMMANDS`.  Well-formed argv is read from that table without argparse;
+`argparse` is imported, and its parser built from the same table, only to
+print help or a usage error, so both keep argparse's wording and exit
+status.  The program leaves the bytecode cache alone: it never sets or
+overrides `PYTHONDONTWRITEBYTECODE` or `sys.dont_write_bytecode`.
+
 Exit codes: 0 success, 1 check failure, 2 unsupported input (including a
 trigonometric sum over more than `verlinde.MAX_SUM_TERMS` subsets or, at
 genus >= 2, of more than `verlinde.MAX_PAIR_UPDATES` pair updates and
@@ -31,10 +38,10 @@ signal, as it ends Unix filters, rather than with a traceback and exit 1;
 `main` itself leaves signal handling to its caller.
 """
 
-import argparse
 import signal
 import sys
 from importlib import import_module
+from types import SimpleNamespace
 
 from . import _HOME, _LAZY
 from .intervals import DEFAULT_MAX_PRECISION_BITS, CertificationError
@@ -63,12 +70,11 @@ def __getattr__(name):
     return globals()[name]
 
 
-class _Parser(argparse.ArgumentParser):
-    """argparse with the conventional 64 exit status for usage errors."""
-
-    def error(self, message):
-        self.print_usage(sys.stderr)
-        self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
+def _type_error(message: str) -> Exception:
+    """The error a `type` function raises for a value it rejects; argparse is
+    imported here, once a value has failed, and reports the message."""
+    import argparse
+    return argparse.ArgumentTypeError(message)
 
 
 def _genus_range(text: str) -> tuple[int, int]:
@@ -76,9 +82,9 @@ def _genus_range(text: str) -> tuple[int, int]:
         first, _, last = text.partition("..")
         lo, hi = int(first), int(last)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"expected A..B, got {text!r}")
+        raise _type_error(f"expected A..B, got {text!r}")
     if lo < 1:
-        raise argparse.ArgumentTypeError("genus range must start at 1 or above")
+        raise _type_error("genus range must start at 1 or above")
     return lo, hi
 
 
@@ -86,9 +92,9 @@ def _precision_bits(text: str) -> int:
     try:
         bits = int(text)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
+        raise _type_error(f"expected an integer, got {text!r}")
     if bits < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {bits}")
+        raise _type_error(f"must be at least 1, got {bits}")
     return bits
 
 
@@ -96,64 +102,8 @@ def _check_name(text: str) -> str:
     _bind("checks")
     if text not in CHECK_NAMES:
         choices = ", ".join(map(repr, CHECK_NAMES))
-        raise argparse.ArgumentTypeError(f"invalid choice: {text!r} (choose from {choices})")
+        raise _type_error(f"invalid choice: {text!r} (choose from {choices})")
     return text
-
-
-def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(prog="thetadim", description=__doc__.splitlines()[0])
-    sub = parser.add_subparsers(dest="command", required=True)
-    precision = argparse.ArgumentParser(add_help=False)
-    precision.add_argument(
-        "--max-precision-bits", type=_precision_bits, default=DEFAULT_MAX_PRECISION_BITS
-    )
-
-    dim = sub.add_parser("dim", parents=[precision], help="one dimension value")
-    dim.add_argument("kind", choices=("sl", "gl"))
-    dim.add_argument("--genus", "-g", type=int, required=True)
-    dim.add_argument("--rank", "-n", type=int, required=True)
-    dim.add_argument("--degree", "-d", type=int, required=True)
-    dim.add_argument("--level", "-k", type=int, required=True)
-    dim.add_argument("--format", choices=("text", "json"), default="text")
-    dim.set_defaults(handler=_cmd_dim)
-
-    check = sub.add_parser("check", parents=[precision], help="sweep one identity over a grid")
-    check.add_argument("name", type=_check_name, help="identity to check; an unknown name lists them")
-    check.add_argument("--max-rank", type=int, default=3)
-    check.add_argument("--max-level", type=int, default=3)
-    check.add_argument("--genus-range", type=_genus_range, default=(1, 3), metavar="A..B",
-                       help="elliptic always runs at genus 1; bott-szenes starts at genus 2")
-    check.add_argument("--max-abs-degree", type=int, default=3)
-    check.add_argument("--format", choices=("text", "json"), default="text")
-    check.add_argument(
-        "--negative-control",
-        action="store_true",
-        help="perturb one side of every comparison; failures are then expected",
-    )
-    check.set_defaults(handler=_cmd_check)
-
-    table = sub.add_parser(
-        "table", parents=[precision], help="matrix of s(n, 0, k) at fixed genus"
-    )
-    table.add_argument("--genus", "-g", type=int, required=True)
-    table.add_argument("--max-rank", type=int, default=4)
-    table.add_argument("--max-level", type=int, default=4)
-    table.add_argument("--format", choices=("csv", "json", "md"), default="csv")
-    table.set_defaults(handler=_cmd_table)
-
-    factor = sub.add_parser("factor", help="symbolic theta-bundle factorizations")
-    factor.add_argument("subject", choices=("pullback", "rescale", "jacobian"))
-    factor.add_argument("--n1", type=int)
-    factor.add_argument("--d1", type=int)
-    factor.add_argument("--n2", type=int)
-    factor.add_argument("--rkF", type=int)
-    factor.add_argument("--rkF0", type=int)
-    factor.add_argument("--genus", "-g", type=int)
-    factor.add_argument("--rank", "-n", type=int)
-    factor.add_argument("--degree", "-d", type=int)
-    factor.set_defaults(handler=_cmd_factor)
-
-    return parser
 
 
 def _cmd_dim(args) -> int:
@@ -329,15 +279,147 @@ def _factor(args) -> int:
     return EXIT_OK
 
 
+# Every subcommand's summary, handler and arguments, each argument as the
+# flags and keywords of `ArgumentParser.add_argument`, long flag first.
+# `build_parser` and `_parse` both read this table.  `--max-precision-bits`
+# leads its lists so that usage and help show it right after `-h`.
+_PRECISION = (
+    ("--max-precision-bits",), {"type": _precision_bits, "default": DEFAULT_MAX_PRECISION_BITS}
+)
+_COMMANDS = {
+    "dim": ("one dimension value", _cmd_dim, (
+        _PRECISION,
+        (("kind",), {"choices": ("sl", "gl")}),
+        (("--genus", "-g"), {"type": int, "required": True}),
+        (("--rank", "-n"), {"type": int, "required": True}),
+        (("--degree", "-d"), {"type": int, "required": True}),
+        (("--level", "-k"), {"type": int, "required": True}),
+        (("--format",), {"choices": ("text", "json"), "default": "text"}),
+    )),
+    "check": ("sweep one identity over a grid", _cmd_check, (
+        _PRECISION,
+        (("name",), {"type": _check_name,
+                     "help": "identity to check; an unknown name lists them"}),
+        (("--max-rank",), {"type": int, "default": 3}),
+        (("--max-level",), {"type": int, "default": 3}),
+        (("--genus-range",), {
+            "type": _genus_range, "default": (1, 3), "metavar": "A..B",
+            "help": "elliptic always runs at genus 1; bott-szenes starts at genus 2"}),
+        (("--max-abs-degree",), {"type": int, "default": 3}),
+        (("--format",), {"choices": ("text", "json"), "default": "text"}),
+        (("--negative-control",), {
+            "action": "store_true",
+            "help": "perturb one side of every comparison; failures are then expected"}),
+    )),
+    "table": ("matrix of s(n, 0, k) at fixed genus", _cmd_table, (
+        _PRECISION,
+        (("--genus", "-g"), {"type": int, "required": True}),
+        (("--max-rank",), {"type": int, "default": 4}),
+        (("--max-level",), {"type": int, "default": 4}),
+        (("--format",), {"choices": ("csv", "json", "md"), "default": "csv"}),
+    )),
+    "factor": ("symbolic theta-bundle factorizations", _cmd_factor, (
+        (("subject",), {"choices": ("pullback", "rescale", "jacobian")}),
+        (("--n1",), {"type": int}),
+        (("--d1",), {"type": int}),
+        (("--n2",), {"type": int}),
+        (("--rkF",), {"type": int}),
+        (("--rkF0",), {"type": int}),
+        (("--genus", "-g"), {"type": int}),
+        (("--rank", "-n"), {"type": int}),
+        (("--degree", "-d"), {"type": int}),
+    )),
+}
+
+
+def build_parser():
+    """The argparse parser of `_COMMANDS`, which prints help and usage errors."""
+    import argparse
+
+    class Parser(argparse.ArgumentParser):
+        """argparse with the conventional 64 exit status for usage errors."""
+
+        def error(self, message):
+            self.print_usage(sys.stderr)
+            self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
+
+    parser = Parser(prog="thetadim", description=__doc__.splitlines()[0])
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (summary, handler, arguments) in _COMMANDS.items():
+        command = sub.add_parser(name, help=summary)
+        for flags, keywords in arguments:
+            command.add_argument(*flags, **keywords)
+        command.set_defaults(handler=handler)
+    return parser
+
+
+def _parse(argv):
+    """The namespace that `build_parser().parse_args(argv)` returns, read from
+    `_COMMANDS` without argparse, or None for argv outside the form read here.
+
+    That form is the subcommand, then in any order positionals, exact option
+    strings each followed by one value, and `store_true` flags.  Help, an
+    abbreviation, `--opt=value`, an unknown token, a missing value, a failed
+    type or choice and a missing required argument all give None, and print
+    nothing: argparse then parses argv and prints the help or usage error.
+    """
+    if not argv or argv[0] not in _COMMANDS:
+        return None
+    _, handler, arguments = _COMMANDS[argv[0]]
+    values = {"command": argv[0], "handler": handler}
+    options, positionals = {}, []
+    for flags, keywords in arguments:
+        dest = flags[0].lstrip("-").replace("-", "_")
+        if flags[0].startswith("-"):
+            options.update(dict.fromkeys(flags, (dest, keywords)))
+            flag = keywords.get("action") == "store_true"
+            values[dest] = keywords.get("default", False if flag else None)
+        else:
+            positionals.append((dest, keywords))
+    missing = {dest for dest, keywords in options.values() if keywords.get("required")}
+    tokens = iter(argv[1:])
+    for token in tokens:
+        if token in options:
+            dest, keywords = options[token]
+            if keywords.get("action") == "store_true":
+                values[dest] = True
+                continue
+            text = next(tokens, None)
+            # argparse takes a value starting with "-" only if it is a number
+            if text is None or (text.startswith("-") and not text[1:].isdecimal()):
+                return None
+        elif positionals and not token.startswith("-"):
+            (dest, keywords), text = positionals.pop(0), token
+        else:
+            return None
+        try:
+            value = keywords.get("type", str)(text)
+        except Exception:
+            # argparse converts the value again: it reports an ArgumentTypeError,
+            # TypeError or ValueError as a usage error and lets any other propagate
+            return None
+        choices = keywords.get("choices")
+        if choices is not None and value not in choices:
+            return None
+        values[dest] = value
+        missing.discard(dest)
+    if positionals or missing:
+        return None
+    return SimpleNamespace(**values)
+
+
 def main(argv=None) -> int:
     # Dimensions are printed in full, however many digits they have.
     if hasattr(sys, "set_int_max_str_digits"):
         sys.set_int_max_str_digits(0)
-    parser = build_parser()
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else EXIT_USAGE
+    if argv is None:
+        argv = sys.argv[1:]
+    args = _parse(argv)
+    if args is None:
+        try:
+            args = build_parser().parse_args(argv)
+        except SystemExit as exc:
+            return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
         return args.handler(args)
     except UnsupportedQuery as exc:

@@ -2,6 +2,7 @@
 
 import ast
 import contextlib
+import io
 import json
 import os
 import re
@@ -368,11 +369,11 @@ def _in_fresh_interpreter(code):
 
 
 def _modules_loaded_by(code):
-    """The thetadim modules a fresh interpreter has loaded after running `code`."""
+    """The modules a fresh interpreter has loaded after running `code`."""
     _, err = _in_fresh_interpreter(
         f"import sys\n{code}\nprint(' '.join(sorted(sys.modules)), file=sys.stderr)"
     )
-    return {name for name in err.splitlines()[-1].split() if name.startswith("thetadim")}
+    return set(err.splitlines()[-1].split())
 
 
 class TestImportSurface:
@@ -384,11 +385,12 @@ class TestImportSurface:
         )
         loaded = set(out.split())
         assert "thetadim.cli" in loaded
-        assert not loaded & {"dataclasses", "inspect", "json", "csv", "typing"}
+        assert not loaded & {"dataclasses", "inspect", "json", "csv", "typing", "argparse"}
 
     def test_package_import_loads_only_the_engine(self):
         loaded = _modules_loaded_by("import thetadim")
-        assert loaded == {"thetadim", "thetadim.intervals", "thetadim.verlinde"}
+        assert {name for name in loaded if name.startswith("thetadim")} == {
+            "thetadim", "thetadim.intervals", "thetadim.verlinde"}
 
     def test_package_import_loads_neither_fractions_nor_decimal(self):
         # the kernel decides on dyadic integers, so the engine needs no
@@ -424,18 +426,23 @@ class TestImportSurface:
         [
             (["dim", "sl", "-g", "2", "-n", "2", "-d", "0", "-k", "3"], set()),
             (["table", "-g", "2"], set()),
-            (["frobnicate"], set()),
+            (["frobnicate"], {"argparse"}),
             (["factor", "rescale", "--rkF", "2", "--rkF0", "1"], {"thetadim.theta"}),
             (["check", "elliptic"], {"thetadim.checks", "thetadim.theta"}),
         ],
         ids=["dim", "table", "usage-error", "factor", "check"],
     )
     def test_each_subcommand_loads_only_what_it_uses(self, argv, wanted):
+        # well-formed argv is read from the command table; argparse, and the
+        # gettext and locale it imports, load only to print a usage error
         loaded = _modules_loaded_by(
             f"import contextlib, io\nfrom thetadim.cli import main\n"
-            f"with contextlib.redirect_stdout(io.StringIO()):\n    main({argv!r})"
+            f"with contextlib.redirect_stdout(io.StringIO()), "
+            f"contextlib.redirect_stderr(io.StringIO()):\n    main({argv!r})"
         )
-        assert loaded & {"thetadim.checks", "thetadim.theta"} == wanted
+        assert loaded & {"thetadim.checks", "thetadim.theta", "argparse"} == wanted
+        if "argparse" not in wanted:
+            assert not loaded & {"gettext", "locale"}
 
     @pytest.mark.parametrize(
         "name, argv",
@@ -588,6 +595,61 @@ class TestUsage:
                              "--degree", "0", "--level", "1", "--format", "yaml")
         assert code == EXIT_USAGE
 
+    @pytest.mark.parametrize(
+        "argv, usage",
+        [(["--help"], "usage: thetadim [-h]"), (["dim", "--help"], "usage: thetadim dim [-h]")],
+        ids=["top", "dim"],
+    )
+    def test_help_prints_usage_and_exits_zero(self, capsys, argv, usage):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == EXIT_OK
+        assert out.startswith(usage)
+        assert err == ""
+
+    @pytest.mark.parametrize(
+        "argv, fast",
+        [
+            (["dim", "sl", "-g", "2", "-n", "2", "-d", "0", "-k", "3", "--max-prec", "128"], False),
+            (["dim", "sl", "--genus=2", "-n", "2", "-d", "0", "-k", "3"], False),
+            (["dim", "-g", "2", "sl", "-n", "2", "-d", "0", "-k", "3"], True),
+        ],
+        ids=["abbreviation", "equals", "option-first"],
+    )
+    def test_argparse_forms_give_the_same_result(self, capsys, argv, fast):
+        # the first two are left to argparse, the third is read from the table
+        assert (cli._parse(argv) is not None) == fast
+        assert run_cli(capsys, *argv) == (EXIT_OK, "20\n", "")
+
+    # argparse's wording, as printed at the commit before the command table;
+    # compared with whitespace collapsed, since the usage wraps differently
+    # across Python versions
+    @pytest.mark.parametrize(
+        "argv, want",
+        [
+            (["dim", "sl"],
+             "usage: thetadim dim [-h] [--max-precision-bits MAX_PRECISION_BITS] --genus "
+             "GENUS --rank RANK --degree DEGREE --level LEVEL [--format {text,json}] {sl,gl} "
+             "thetadim dim: error: the following arguments are required: --genus/-g, "
+             "--rank/-n, --degree/-d, --level/-k"),
+            (["check", "nosuch"],
+             "usage: thetadim check [-h] [--max-precision-bits MAX_PRECISION_BITS] "
+             "[--max-rank MAX_RANK] [--max-level MAX_LEVEL] [--genus-range A..B] "
+             "[--max-abs-degree MAX_ABS_DEGREE] [--format {text,json}] [--negative-control] "
+             "name thetadim check: error: argument name: invalid choice: 'nosuch' (choose "
+             "from 'theorem1', 'involution', 'bott-szenes', 'duality', 'elliptic')"),
+            (["frobnicate"],
+             "usage: thetadim [-h] {dim,check,table,factor} ... thetadim: error: argument "
+             "command: invalid choice: 'frobnicate' (choose from 'dim', 'check', 'table', "
+             "'factor')"),
+        ],
+        ids=["missing-required", "unknown-check", "unknown-command"],
+    )
+    def test_usage_error_text(self, capsys, argv, want):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err.endswith("\n")
+        assert " ".join(err.split()) == want
+
     def test_every_documented_exit_code_reachable(self, capsys):
         # 0: success
         assert run_cli(capsys, "dim", "sl", "--genus", "2", "--rank", "2",
@@ -639,6 +701,85 @@ _fuzz_argv = st.one_of(
           _flag("--rkF", _small), _flag("--rkF0", _small), _flag("--genus", _small),
           _flag("--rank", _small), _flag("--degree", _degree)),
 )
+
+
+def _units(argv):
+    """argv after the subcommand, as positionals, flags and option-value pairs."""
+    units, tokens = [], iter(argv[1:])
+    for token in tokens:
+        takes_value = token.startswith("-") and token != "--negative-control"
+        units.append([token, next(tokens)] if takes_value else [token])
+    return units
+
+
+def _mutate(argv, mutation, rnd):
+    """`argv` changed by one of the forms that argparse reads or rejects."""
+    if mutation in ("unknown", "help"):
+        # anywhere after the subcommand, even between an option and its value
+        token = rnd.choice(["--nosuch", "-x", "-"] if mutation == "unknown" else ["-h", "--help"])
+        at = rnd.randint(1, len(argv))
+        return argv[:at] + [token] + argv[at:]
+    units = _units(argv)
+    pairs = [unit for unit in units if len(unit) == 2]
+    if mutation == "shuffle":
+        rnd.shuffle(units)
+    elif mutation == "equals" and pairs:
+        unit = rnd.choice(pairs)
+        unit[:] = [f"{unit[0]}={unit[1]}"]
+    elif mutation == "abbreviate":
+        longs = [unit for unit in pairs if unit[0].startswith("--")]
+        if longs:
+            unit = rnd.choice(longs)
+            unit[0] = unit[0][:rnd.randint(3, len(unit[0]) - 1)]
+    elif mutation == "drop" and units:
+        units.remove(rnd.choice(units))
+    elif mutation == "negative" and pairs:
+        # int() reads both, but argparse takes only the first as a value
+        rnd.choice(pairs)[1] = rnd.choice(["-12", "-1_2"])
+    elif mutation == "bad-value" and units:
+        rnd.choice(units)[-1] = rnd.choice(["yaml", "x", "1..", ""])
+    elif mutation == "repeat" and units:
+        units.insert(rnd.randint(0, len(units)), list(rnd.choice(units)))
+    return argv[:1] + [token for unit in units for token in unit]
+
+
+_MUTATIONS = ("shuffle", "equals", "abbreviate", "drop", "unknown", "negative", "bad-value",
+              "repeat", "help")
+
+
+def _argparse_vars(argv):
+    """vars() of argparse's namespace for `argv`, or None for help or a usage error."""
+    with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink), \
+            contextlib.redirect_stderr(sink):
+        try:
+            return vars(cli.build_parser().parse_args(argv))
+        except SystemExit:
+            return None
+
+
+def _fast_vars(argv):
+    """vars() of the table parse of `argv`, or None; it must print nothing."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        args = cli._parse(argv)
+    assert out.getvalue() == err.getvalue() == ""
+    return None if args is None else vars(args)
+
+
+class TestParseAgreement:
+    @given(argv=_fuzz_argv)
+    @settings(max_examples=300, deadline=None)
+    def test_canonical_argv_is_read_exactly_as_argparse_reads_it(self, argv):
+        # the table parse declines no canonical argv that argparse accepts
+        assert _fast_vars(argv) == _argparse_vars(argv)
+
+    @given(argv=_fuzz_argv, mutation=st.sampled_from(_MUTATIONS), rnd=st.randoms())
+    @settings(max_examples=400, deadline=None)
+    def test_any_argv_the_table_reads_argparse_reads_alike(self, argv, mutation, rnd):
+        argv = _mutate(argv, mutation, rnd)
+        fast = _fast_vars(argv)
+        if fast is not None:
+            assert fast == _argparse_vars(argv)
 
 
 class TestFuzz:
