@@ -171,7 +171,7 @@ def _duality_sides(g, n, d, k, bits):
 def _elliptic_sides(g, n, d, k, bits):
     # At genus 1 every term is the empty product, so no sine is evaluated:
     # the left side certifies the count C(M-1, n-1) of subsets containing M,
-    # at scale 1, as an integer, and the right side is C(n+k-1, k).
+    # at power 0, as an integer, and the right side is C(n+k-1, k).
     return beauville_sum(g, n, k, max_precision_bits=bits).value, symmetric_power_dim(n, k)
 
 

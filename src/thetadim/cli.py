@@ -27,9 +27,10 @@ genus >= 2, of more than `verlinde.MAX_PAIR_UPDATES` pair updates and
 profile entries, both rejected before any work, a check whose bounds leave no
 instance to run, reported as EMPTY, and a `factor` precondition the theta
 layer rejects), 3 certification failure (stderr gives the width that
-missed the target at the precision cap; a sum whose a priori estimate lies
-beyond twice the cap and 128 bits fails before it is evaluated, and the
-message then reads "estimated width"), 64 usage error (including an
+missed the target at the precision cap; a sum whose a priori estimate,
+from its genus-free scale and shift, lies beyond twice the cap and 128
+bits fails before it is evaluated or any power of the scale is formed, and
+the message then reads "estimated width"), 64 usage error (including an
 unknown check name, a `--max-precision-bits` below 1 and `factor` ranks
 below 1).  The `thetadim` entry point (`run`) restores the default SIGPIPE
 disposition where the platform has one, so a reader that closes stdout
@@ -214,11 +215,11 @@ def _cmd_table(args) -> int:
         for n, values in rows:
             print("| " + " | ".join([str(n)] + values) + " |")
     else:
-        import csv
-        writer = csv.writer(sys.stdout, lineterminator="\n")
-        writer.writerow(header)
+        # every field is a decimal integer or the header's n\k, so no csv
+        # field ever needs quoting
+        print(",".join(header))
         for n, values in rows:
-            writer.writerow([str(n)] + values)
+            print(",".join([str(n)] + values))
     return EXIT_OK
 
 
@@ -409,18 +410,19 @@ def _parse(argv):
 
 
 def main(argv=None) -> int:
-    # Dimensions are printed in full, however many digits they have.
-    if hasattr(sys, "set_int_max_str_digits"):
+    # Dimensions are printed in full, however many digits they have; the
+    # caller's int-to-str digit limit is back in place when main returns.
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
+    if limit is not None:
         sys.set_int_max_str_digits(0)
-    if argv is None:
-        argv = sys.argv[1:]
-    args = _parse(argv)
-    if args is None:
-        try:
-            args = build_parser().parse_args(argv)
-        except SystemExit as exc:
-            return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
+        argv = sys.argv[1:] if argv is None else argv
+        args = _parse(argv)
+        if args is None:
+            try:
+                args = build_parser().parse_args(argv)
+            except SystemExit as exc:
+                return exc.code if isinstance(exc.code, int) else EXIT_USAGE
         return args.handler(args)
     except UnsupportedQuery as exc:
         print(f"unsupported: {exc}", file=sys.stderr)
@@ -428,6 +430,9 @@ def main(argv=None) -> int:
     except CertificationError as exc:
         print(f"certification failed: {exc}", file=sys.stderr)
         return EXIT_CERTIFICATION
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
 
 
 def run() -> None:

@@ -2,13 +2,13 @@
 
 The kernel encloses sums of the shape
 
-    scale * 2**-shift * sum_i  coeff_i * prod_j  f(m_ij / M_i)^(power * e_ij)
+    sum_i  coeff_i * (scale * 2**-shift * prod_j  f(m_ij / M_i)^e_ij)**power
 
 between dyadic bounds, with integer coefficients, an integer scale, a
 binary shift and one common exponent `power`, where every factor of a term
 is of one kind: f(t) = |2 sin(pi t)| (`SineProductTerm`) or
-f(t) = csc^2(pi t) (`CosecantSquaredTerm`).  `power` multiplies every
-factor's exponent, so one table of terms serves every power.  The
+f(t) = csc^2(pi t) (`CosecantSquaredTerm`).  Only `power` varies with
+the genus, so one table of terms and one scale serve every power.  The
 enclosures of pi and of the sine values come from alternating series with
 explicit tail bounds, evaluated in fixed-point integer arithmetic with
 directed rounding, so the bounds are mathematically rigorous.  Each series
@@ -38,13 +38,13 @@ absolute one.  The precision is a rung of the ladder 64 * 2**j, and the
 first rung is chosen a priori from a float estimate of the magnitudes and
 rounding count involved, so a sum is normally certified in one precision
 step; doubling remains as the fallback, up to a hard cap, and an estimate
-far beyond the cap fails before any enclosure is computed.  Floats only
-choose the rung, never an endpoint.  The integer coefficients and scale
-multiply the bounds exactly, and the shift only moves the scale, so the
-result is the dyadic interval [lo, hi] / 2**(w + shift)
-(`CertifiedInterval`), the target width is 2**-target_bits, and
-`certify_integer` decides with integer shifts.  Nothing here builds a
-Fraction.
+far beyond the cap fails before any enclosure, or any power of the scale,
+is computed.  Floats only choose the rung, never an endpoint.  The integer
+coefficients and scale**power multiply the bounds exactly, and power *
+shift only moves the scale, so the result is the dyadic interval
+[lo, hi] / 2**(w + power * shift) (`CertifiedInterval`), the target width
+is 2**-target_bits, and `certify_integer` decides with integer shifts.
+Nothing here builds a Fraction.
 
 Everything here is a pure function of its inputs; the caches are
 idempotent write-once tables, so concurrent use is safe.
@@ -355,16 +355,16 @@ def _first_rung(
     whose working scale is expected to meet the width target 2**-target_bits.
 
     At scale 2**-w a term's error is about 2**-w times its rounding count,
-    amplified by the product of its factors above 1 and by |coeff| and
-    |scale| / 2**shift.  A factor's base enclosure adds its relative error
-    once per unit of exponent, which is the factor's exponent times
-    `power`.  Factors below 1, which only sine products have, carry an
-    absolute error and are counted as 1.  Floats only choose the rung: the
-    enclosure itself stays rigorous, and the ladder still doubles if the
-    estimate falls short.  An estimate beyond twice the cap, and beyond
-    128 bits, misses the cap by far more than the estimate's crudeness, so
-    it raises CertificationError before any pi, sine or product is
-    computed, with the estimated width at the cap in its message.
+    amplified by the factors above 1, by |coeff| and by the scale's
+    2**(power * (log2|scale| - shift)).  A factor's base enclosure adds its
+    relative error once per unit of exponent, its exponent times `power`.
+    Factors below 1, which only sine products have, carry an absolute error
+    and are counted as 1.  Floats only choose the rung: the enclosure stays
+    rigorous, and the ladder still doubles if the estimate falls short.  An
+    estimate beyond twice the cap, and beyond 128 bits, misses the cap by
+    far more than the estimate's crudeness, so it raises CertificationError
+    before any pi, sine, product or power of the scale is computed, with
+    the estimated width at the cap in its message.
     """
     bounds = []
     for coeff, term in prepared:
@@ -382,9 +382,8 @@ def _first_rung(
     if bounds and scale:
         top = max(bounds)
         error_log2 = top + math.log2(sum(2.0 ** (b - top) for b in bounds))
-        needed = (
-            error_log2 + math.log2(abs(scale)) - shift + target_bits + _MARGIN_BITS - _GUARD_BITS
-        )
+        scale_log2 = power * (math.log2(abs(scale)) - shift)
+        needed = error_log2 + scale_log2 + target_bits + _MARGIN_BITS - _GUARD_BITS
     if needed > max(2 * max_bits, 128):
         width_log2 = needed - _MARGIN_BITS - target_bits - max_bits
         raise _cap_error(f"estimated width 2**{width_log2:.1f}", target_bits, max_bits)
@@ -451,21 +450,20 @@ def evaluate_sum(
     *,
     max_bits: int = DEFAULT_MAX_PRECISION_BITS,
 ) -> CertifiedInterval:
-    """Enclose  scale * 2**-shift * sum(coeff * value(term)**power)  to
+    """Enclose  sum(coeff * (scale * 2**-shift * value(term))**power)  to
     within 2**-target_bits.
 
-    `power` multiplies the exponent of every factor of every term, so a
-    table of terms built once serves every power; 0 makes each term 1.
-    Coefficients and the scale are ints of either sign and multiply the
-    bounds exactly, and the shift only moves the result's scale: the
-    result is [lo, hi] / 2**(w + shift) at the working scale w of the rung
-    that met the target, and its `precision_bits` is that rung.  The first
-    precision is the rung of the ladder 64 * 2**j that an a priori estimate
-    expects to meet the target (see `_first_rung`); the precision doubles
-    from there only if it does not, and exceeding `max_bits` raises
-    CertificationError, as does, before any enclosure, an estimate beyond
-    twice `max_bits`.  An empty term list yields the exact interval
-    [0, 0].
+    Terms, coefficients and the scale (ints of either sign) are built once
+    for every power; 0 makes the product 1.  The first precision is the
+    rung of the ladder 64 * 2**j that an a priori estimate expects to meet
+    the target (see `_first_rung`); only once it accepts a rung are
+    scale**power, which multiplies the bounds exactly, and power * shift
+    formed.  The result is [lo, hi] / 2**(w + power * shift) at the working
+    scale w of the rung that met the target, and its `precision_bits` is
+    that rung.  The precision doubles only if that rung misses the target;
+    exceeding `max_bits` raises CertificationError, as does, before any
+    enclosure, an estimate beyond twice `max_bits`.  An empty term list
+    yields the exact interval [0, 0].
     """
     if power < 0:
         raise ValueError("power must be nonnegative")
@@ -476,6 +474,7 @@ def evaluate_sum(
     prepared = tuple(terms)
 
     precision = _first_rung(prepared, power, scale, shift, target_bits, max_bits)
+    scale, shift = scale**power, shift * power
     while True:
         lo, hi, work = _sum_scaled(prepared, power, precision)
         lo, hi = (lo * scale, hi * scale) if scale >= 0 else (hi * scale, lo * scale)

@@ -144,14 +144,14 @@ def reduced_sum_terms(n: int, k: int) -> tuple[tuple[int, CosecantSquaredTerm], 
     d <= M/2 only: prod_d z_d^((g-1) c_d), where c_d counts the pairs
     s < s' of S at folded offset d, and every factor is >= 1.  Together,
 
-        s_g = (n M^(n-1))^(g-1) * 2^(-2 (g-1) C(n,2)) * sum_S prod_d z_d^((g-1) c_d).
+        s_g = sum_S (n M^(n-1) * 2^(-2 C(n,2)) * prod_d z_d^(c_d))^(g-1).
 
     A term depends on its subset only through the pair-offset profile
     (c_d), so the table holds one term per distinct profile, with the
     exponents c_d and its integer multiplicity as coefficient; the
-    coefficients sum to C(M-1, n-1).  The genus enters only through the
-    kernel's `power` g - 1 and the scale, an integer (n M^(n-1))^(g-1) and
-    a right shift by 2 (g-1) C(n, 2) bits.  The profiles come from a walk
+    coefficients sum to C(M-1, n-1).  The genus is only the kernel's
+    `power` g - 1; the scale n M^(n-1) and the shift 2 C(n, 2) are
+    genus-free like the table.  The profiles come from a walk
     over the subsets, one element at a time, in which each new element
     adds its pairs to its prefix's counts, so the pairs of a prefix are
     counted once for all the subsets that share it.  The walk counts each
@@ -251,8 +251,7 @@ def _certified_sum_value(g: int, n: int, k: int, max_bits: int) -> int:
                 f"and profile entries, above the limit of {MAX_PAIR_UPDATES}"
             )
         terms = reduced_sum_terms(n, k)
-    scale = (n * (n + k) ** (n - 1)) ** (g - 1)
-    shift = 2 * math.comb(n, 2) * (g - 1)
+    scale, shift = n * (n + k) ** (n - 1), 2 * math.comb(n, 2)
     enclosure = evaluate_sum(terms, g - 1, scale, shift, _CERTIFY_BITS, max_bits=max_bits)
     return certify_integer(enclosure)
 

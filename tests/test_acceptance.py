@@ -291,7 +291,7 @@ def test_reduced_terms_group_subsets_by_pair_offsets():
     # exact, no trigonometry: the table equals a brute-force grouping of the
     # subsets containing n + k by their pair-offset counts, term for term and
     # in order (the rung estimate sums floats in term order), and the genus
-    # enters only as the power g - 1 and the dyadic scale
+    # enters only as the power g - 1: the dyadic scale is genus-free
     queries = _trig_queries_from_criteria_1_to_5()
     lookup_cells = {
         (n, k) for rows in json.loads(LOOKUPS.read_text()).values() for _, n, k, _, _ in rows
@@ -309,15 +309,15 @@ def test_reduced_terms_group_subsets_by_pair_offsets():
         assert terms == _table_by_definition(n, k), (n, k)
         assert sum(c for c, _ in terms) == math.comb(modulus - 1, n - 1)
         assert all(type(t) is CosecantSquaredTerm and t.modulus == modulus for _, t in terms)
+    scales = {}
     for g, n, k in queries:
         modulus = n + k
         handed, power, scale, shift = _pair_form(g, n, k)
         if g > 1:
             assert handed is reduced_sum_terms(n, k)
         assert power == g - 1
-        assert Fraction(scale, 2**shift) == Fraction(
-            (n * modulus ** (n - 1)) ** (g - 1), 4 ** ((g - 1) * math.comb(n, 2))
-        )
+        assert Fraction(scale, 2**shift) == Fraction(n * modulus ** (n - 1), 4 ** math.comb(n, 2))
+        assert scales.setdefault((n, k), (scale, shift)) == (scale, shift), (g, n, k)
 
 
 def test_table_build_leaves_no_cyclic_garbage():

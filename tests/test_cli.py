@@ -85,6 +85,33 @@ class TestDim:
         assert re.fullmatch(r"certification failed: estimated width 2\*\*\d+\.\d exceeds "
                             r"target 1/4 at the precision cap \(64 bits\)\n", err), err
 
+    def test_certification_failure_before_any_genus_sized_integer(self, capsys):
+        # genus 10**7: the kernel gets the genus-free scale 2 * 3 and shift 2,
+        # so the estimate fails before the 26-megabit 6**(g - 1) could exist
+        code, _, err = run_cli(capsys, "dim", "sl", "-g", "10000000", "-n", "2",
+                               "-d", "0", "-k", "1")
+        assert code == EXIT_CERTIFICATION
+        assert err.startswith("certification failed: estimated width 2**"), err
+
+    @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                        reason="no int-to-str digit limit")
+    @pytest.mark.parametrize("argv, code", [
+        (["dim", "gl", "-g", "2000", "-n", "1", "-d", "0", "-k", "1000"], EXIT_OK),
+        (["dim", "sl", "-g", "2000", "-n", "4", "-d", "0", "-k", "1",
+          "--max-precision-bits", "64"], EXIT_CERTIFICATION),
+        (["dim", "sl", "--genus"], EXIT_USAGE),
+    ], ids=["ok", "certification", "usage"])
+    def test_main_restores_the_int_string_limit(self, capsys, argv, code):
+        # main lifts the limit to print 1000**2000 in full, and hands the
+        # caller's limit back however it returns
+        previous = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(4300)
+        try:
+            assert run_cli(capsys, *argv)[0] == code
+            assert sys.get_int_max_str_digits() == 4300
+        finally:
+            sys.set_int_max_str_digits(previous)
+
     def test_certification_failure_reports_the_evaluated_width(self, capsys):
         # the same value at a 2048-bit cap: the estimate lies between the cap
         # and twice the cap, so the sum is evaluated at the cap and its
@@ -434,13 +461,14 @@ class TestImportSurface:
     )
     def test_each_subcommand_loads_only_what_it_uses(self, argv, wanted):
         # well-formed argv is read from the command table; argparse, and the
-        # gettext and locale it imports, load only to print a usage error
+        # gettext and locale it imports, load only to print a usage error;
+        # a csv table is joined by hand, never through the csv module
         loaded = _modules_loaded_by(
             f"import contextlib, io\nfrom thetadim.cli import main\n"
             f"with contextlib.redirect_stdout(io.StringIO()), "
             f"contextlib.redirect_stderr(io.StringIO()):\n    main({argv!r})"
         )
-        assert loaded & {"thetadim.checks", "thetadim.theta", "argparse"} == wanted
+        assert loaded & {"thetadim.checks", "thetadim.theta", "argparse", "csv"} == wanted
         if "argparse" not in wanted:
             assert not loaded & {"gettext", "locale"}
 

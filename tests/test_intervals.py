@@ -48,6 +48,19 @@ def _sine(m, modulus, bits):
     return tuple(Fraction(b, 2 ** (bits + _GUARD_BITS)) for b in sin_enclosure(m, modulus, bits))
 
 
+@st.composite
+def _signed_terms(draw):
+    """A modulus M and one to four (coeff, kind, factors) over M."""
+    modulus = draw(st.integers(2, 12))
+    factor = st.tuples(st.integers(1, modulus - 1), st.integers(0, 4))
+    term = st.tuples(
+        st.integers(-6, 6),
+        st.sampled_from([SineProductTerm, CosecantSquaredTerm]),
+        st.lists(factor, max_size=3),
+    )
+    return modulus, draw(st.lists(term, min_size=1, max_size=4))
+
+
 def _value(iv):
     """The exact endpoints of a certified interval, as Fractions."""
     return Fraction(iv.lo, 1 << iv.scale_bits), Fraction(iv.hi, 1 << iv.scale_bits)
@@ -227,22 +240,31 @@ class TestEvaluateSum:
         with pytest.raises(CertificationError, match=target):
             evaluate_sum([(1, term)], 1, 1, 0, 1000, max_bits=256)
 
+    def test_hopeless_estimate_forms_no_power_of_the_scale(self):
+        # the term is 1, so only the scale is hopeless: (6 / 4)**(10**7) has
+        # about 5.8 million bits, far past the 16384-bit cap, and the
+        # estimate reads log2 6 and the shift before the scale is powered
+        class Scale(int):
+            def __pow__(self, power):
+                pytest.fail("scale**power formed before a rung was accepted")
+
+        with pytest.raises(CertificationError, match="estimated width"):
+            evaluate_sum([(1, CosecantSquaredTerm(3, ()))], 10**7, Scale(6), 2, 2)
+
     @given(
-        data=st.data(),
-        modulus=st.integers(2, 12),
+        case=_signed_terms(),
         scale=st.integers(-8, 8).filter(bool),
         shift=st.integers(0, 6),
         power=st.integers(0, 3),
     )
+    # a negative scale at an even power: its power is positive
+    @example(
+        case=(5, [(3, CosecantSquaredTerm, [(1, 2)]), (-2, SineProductTerm, [(2, 1)])]),
+        scale=-3, shift=1, power=2,
+    )
     @settings(max_examples=60, deadline=None)
-    def test_signed_sums_contain_oracle(self, data, modulus, scale, shift, power):
-        factor = st.tuples(st.integers(1, modulus - 1), st.integers(0, 4))
-        term = st.tuples(
-            st.integers(-6, 6),
-            st.sampled_from([SineProductTerm, CosecantSquaredTerm]),
-            st.lists(factor, max_size=3),
-        )
-        drawn = data.draw(st.lists(term, min_size=1, max_size=4))
+    def test_signed_sums_contain_oracle(self, case, scale, shift, power):
+        modulus, drawn = case
         terms = [(coeff, kind(modulus, tuple(factors))) for coeff, kind, factors in drawn]
         oracle = Fraction(0)
         for coeff, kind, factors in drawn:
@@ -251,7 +273,7 @@ class TestEvaluateSum:
                 x = two_sin_fraction(m, modulus, dps=120)
                 value *= (x if kind is SineProductTerm else 4 / x**2) ** (e * power)
             oracle += value
-        oracle *= Fraction(scale, 2**shift)
+        oracle *= Fraction(scale, 2**shift) ** power
         iv = evaluate_sum(terms, power, scale, shift, 20)
         lo, hi = _value(iv)
         assert lo - ORACLE_SLACK <= oracle <= hi + ORACLE_SLACK

@@ -122,7 +122,8 @@ class TestBeauvilleSum:
 
     def test_genus_one_is_one_term(self, monkeypatch):
         # the C(4, 2) subsets containing 5, each an empty product, at power
-        # 0 and scale 1, and no pair-form table is built
+        # 0 with the genus-free scale 3 * 5**2 and shift 2 * C(3, 2), and no
+        # pair-form table is built
         handed = []
 
         def recording(terms, *args, **kwargs):
@@ -133,7 +134,7 @@ class TestBeauvilleSum:
         reduced_sum_terms.cache_clear()
         monkeypatch.setattr(verlinde, "evaluate_sum", recording)
         assert beauville_sum(1, 3, 2).value == 6
-        assert handed == [(((6, CosecantSquaredTerm(5, ())),), 0, 1, 0, 2)]
+        assert handed == [(((6, CosecantSquaredTerm(5, ())),), 0, 75, 6, 2)]
         assert type(handed[0][0][0][1]) is CosecantSquaredTerm
         assert reduced_sum_terms.cache_info().misses == 0
 
