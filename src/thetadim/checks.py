@@ -15,13 +15,17 @@ an exact integer comparison over finite parameter grids:
   * the degree-zero special case s(n, 0, k)*k^g = s(k, 0, n)*n^g, which
     pits two independently computed trigonometric sums against each other;
   * the genus-1 collapse of the trigonometric sum to a binomial.  There
-    every term is 1, so this compares a certified subset count with
-    C(n+k-1, k) and evaluates no sine.
+    every term is 1, so this certifies the pair-form table at power 0,
+    which tests that its multiplicities sum to the subset count, against
+    the closed form C(n+k-1, k) that `sl_dim` answers genus 1 with.
 
 Each identity is written once, as the two sides of its comparison at one
 instance (g, n, d, k), and one sweep, `grid_sweep`, drives them all.
 Queries the engine cannot evaluate are skipped and counted, never treated
-as failures, and a sweep that runs no instance is "empty", not passed.
+as failures, and a sweep that runs no instance is "empty", not passed.  A
+broken proof at an instance, a certified interval that holds no integer
+or a transfer that leaves a remainder, is reported as that instance's
+failure, and the sweep goes on.
 Sweeps enumerate (n, k) outermost, then the genus, then the degree, so
 each pair-form table is built once per sweep and serves every genus of
 its cell, and report failures sorted into (g, n, d, k) order, so reports
@@ -33,9 +37,10 @@ import itertools
 import math
 from collections import namedtuple
 
-from .intervals import DEFAULT_MAX_PRECISION_BITS
+from .intervals import DEFAULT_MAX_PRECISION_BITS, NoIntegerInInterval
 from .theta import complementary_invariants
 from .verlinde import (
+    IntegralityViolation,
     UnsupportedQuery,
     VerlindeQuery,
     beauville_sum,
@@ -169,9 +174,10 @@ def _duality_sides(g, n, d, k, bits):
 
 
 def _elliptic_sides(g, n, d, k, bits):
-    # At genus 1 every term is the empty product, so no sine is evaluated:
-    # the left side certifies the count C(M-1, n-1) of subsets containing M,
-    # at power 0, as an integer, and the right side is C(n+k-1, k).
+    # At genus 1 every term of the pair-form table is 1 (power 0), so the
+    # left side certifies the sum of its multiplicities, which must be the
+    # count C(M-1, n-1) of subsets containing M; the right side is the
+    # closed form C(n+k-1, k).
     return beauville_sum(g, n, k, max_precision_bits=bits).value, symmetric_power_dim(n, k)
 
 
@@ -229,7 +235,10 @@ def grid_sweep(
 ) -> CheckReport:
     """Run one named check on every valid tuple inside the bounds.
 
-    Unsupported instances are skipped and counted separately.  With
+    Unsupported instances are skipped and counted separately.  An instance
+    whose proof breaks, by NoIntegerInInterval or IntegralityViolation, is
+    a failure whose left side is "<exception name>: <message>" and whose
+    right side is empty.  With
     `negative_control` the right-hand side of every comparison is
     deliberately perturbed, so failures are expected: this exercises the
     failure-reporting path itself.  Failures are listed in (g, n, d, k)
@@ -254,6 +263,8 @@ def grid_sweep(
         except UnsupportedQuery:
             skipped += 1
             continue
+        except (NoIntegerInInterval, IntegralityViolation) as exc:
+            failure = CheckFailure((g, n, d, k), f"{type(exc).__name__}: {exc}", "")
         instances += 1
         if failure:
             failures.append(failure)

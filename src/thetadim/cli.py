@@ -21,16 +21,19 @@ print help or a usage error, so both keep argparse's wording and exit
 status.  The program leaves the bytecode cache alone: it never sets or
 overrides `PYTHONDONTWRITEBYTECODE` or `sys.dont_write_bytecode`.
 
-Exit codes: 0 success, 1 check failure, 2 unsupported input (including a
-trigonometric sum over more than `verlinde.MAX_SUM_TERMS` subsets or, at
-genus >= 2, of more than `verlinde.MAX_PAIR_UPDATES` pair updates and
-profile entries, both rejected before any work, a check whose bounds leave no
-instance to run, reported as EMPTY, and a `factor` precondition the theta
-layer rejects), 3 certification failure (stderr gives the width that
-missed the target at the precision cap; a sum whose a priori estimate,
-from its genus-free scale and shift, lies beyond twice the cap and 128
-bits fails before it is evaluated or any power of the scale is formed, and
-the message then reads "estimated width"), 64 usage error (including an
+Exit codes: 0 success, 1 check failure or broken proof (a check reports
+it at its instance; `dim` and `table` print "proof failed: <message>" to
+stderr when a certified interval holds no integer or the transfer leaves
+a remainder), 2 unsupported input (including a trigonometric sum over
+more than `verlinde.MAX_SUM_TERMS` subsets or of more than
+`verlinde.MAX_PAIR_UPDATES` pair updates and profile entries, both
+rejected before any work, a check whose bounds leave no instance to run,
+reported as EMPTY, and a `factor` precondition the theta layer rejects),
+3 certification failure (stderr gives the width that missed the target
+at the precision cap; a sum whose a priori estimate, from its genus-free
+scale and shift, lies beyond twice the cap and 128 bits fails before it
+is evaluated or any power of the scale is formed, and the message then
+reads "estimated width"), 64 usage error (including an
 unknown check name, a `--max-precision-bits` below 1 and `factor` ranks
 below 1).  The `thetadim` entry point (`run`) restores the default SIGPIPE
 disposition where the platform has one, so a reader that closes stdout
@@ -45,8 +48,8 @@ from importlib import import_module
 from types import SimpleNamespace
 
 from . import _HOME, _LAZY
-from .intervals import DEFAULT_MAX_PRECISION_BITS, CertificationError
-from .verlinde import UnsupportedQuery, VerlindeQuery, gl_dim, sl_dim
+from .intervals import DEFAULT_MAX_PRECISION_BITS, CertificationError, NoIntegerInInterval
+from .verlinde import IntegralityViolation, UnsupportedQuery, VerlindeQuery, gl_dim, sl_dim
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -430,6 +433,9 @@ def main(argv=None) -> int:
     except CertificationError as exc:
         print(f"certification failed: {exc}", file=sys.stderr)
         return EXIT_CERTIFICATION
+    except (NoIntegerInInterval, IntegralityViolation) as exc:
+        print(f"proof failed: {exc}", file=sys.stderr)
+        return EXIT_CHECK_FAILED
     finally:
         if limit is not None:
             sys.set_int_max_str_digits(limit)

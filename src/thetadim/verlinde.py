@@ -6,11 +6,14 @@ Two families of dimensions are computed for a smooth curve of genus g:
     v(n, d, k)  on the full (GL) moduli space, level k,
 
 related by the transfer identity  v * h^g = s * k^g  with h = gcd(n, d).
-The SL values come from a certified trigonometric subset sum when the
-degree is 0 mod n, from the symmetric-power closed form at genus 1, and
-are trivially 1 at rank 1; the remaining regime (genus >= 2 with degree
-not 0 mod n) has no formula here and raises UnsupportedQuery rather than
-guessing.
+The SL values are trivially 1 at rank 1, come from the symmetric-power
+closed form at genus 1, whatever the degree, and from a certified
+trigonometric subset sum at genus >= 2 when the degree is 0 mod n; the
+remaining regime (genus >= 2 with degree not 0 mod n) has no formula here
+and raises UnsupportedQuery rather than guessing.  The sum itself,
+`beauville_sum`, is defined at every genus: at genus 1 it certifies the
+sum of its table's multiplicities, which `checks` compares with the
+closed form.
 """
 
 import math
@@ -37,7 +40,7 @@ METHOD_RANK_ONE = "trivial-rank-one"
 #: unsupported before any term is built.
 MAX_SUM_TERMS = 100_000
 
-#: Largest enumeration work that `beauville_sum` accepts at genus >= 2:
+#: Largest enumeration work that `beauville_sum` accepts, at every genus:
 #: C(n+k-1, n-1) subsets times, for each, its C(n, 2) pair updates plus the
 #: floor((n+k)/2) + 1 entries of a dense pair-offset profile.  The
 #: prefix-shared walk of `reduced_sum_terms` does less than this, since a
@@ -229,33 +232,6 @@ def reduced_sum_terms(n: int, k: int) -> tuple[tuple[int, CosecantSquaredTerm], 
 
 
 @lru_cache(maxsize=None)
-def _certified_sum_value(g: int, n: int, k: int, max_bits: int) -> int:
-    """The certified pair-form sum, or UnsupportedQuery when the work is too
-    large: the subset count is checked first, then, where subsets are
-    enumerated (genus >= 2), the subsets times the pairs and profile
-    entries of each (`MAX_PAIR_UPDATES`).  At genus 1 every term is 1, so
-    the sum is the one term C(n+k-1, n-1) and no table is built."""
-    count = math.comb(n + k - 1, n - 1)
-    if count > MAX_SUM_TERMS:
-        raise UnsupportedQuery(
-            f"the reduced sum for rank {n}, level {k} has {count} terms, "
-            f"above the limit of {MAX_SUM_TERMS}"
-        )
-    if g == 1:
-        terms = ((count, CosecantSquaredTerm(n + k, ())),)
-    else:
-        work = count * (math.comb(n, 2) + (n + k) // 2 + 1)
-        if work > MAX_PAIR_UPDATES:
-            raise UnsupportedQuery(
-                f"the reduced sum for rank {n}, level {k} needs {work} pair updates "
-                f"and profile entries, above the limit of {MAX_PAIR_UPDATES}"
-            )
-        terms = reduced_sum_terms(n, k)
-    scale, shift = n * (n + k) ** (n - 1), 2 * math.comb(n, 2)
-    enclosure = evaluate_sum(terms, g - 1, scale, shift, _CERTIFY_BITS, max_bits=max_bits)
-    return certify_integer(enclosure)
-
-
 def beauville_sum(
     g: int, n: int, k: int, *, max_precision_bits: int = DEFAULT_MAX_PRECISION_BITS
 ) -> DimResult:
@@ -265,11 +241,35 @@ def beauville_sum(
     rank n and degree 0 mod n.  It evaluates `reduced_sum_terms` on the
     integer fixed-point kernel, one csc^2 product per pair-offset profile,
     whose first precision is chosen a priori, so the sum is normally
-    certified in one precision step.  A sum over more than MAX_SUM_TERMS
-    subsets, or at genus >= 2 of more than MAX_PAIR_UPDATES pair updates
-    and profile entries, raises UnsupportedQuery before any term is built.
+    certified in one precision step.  At genus 1 the power is 0, so every
+    term is 1 and the certified value is the sum of the table's
+    multiplicities, C(n+k-1, n-1).  A sum over more than MAX_SUM_TERMS
+    subsets, or of more than MAX_PAIR_UPDATES pair updates and profile
+    entries, raises UnsupportedQuery before any term is built; the subset
+    count is bounded by a running product that stops above the limit, so
+    a huge one is never formed.  Results are cached per argument tuple.
     """
-    return DimResult(_certified_sum_value(g, n, k, max_precision_bits), METHOD_TRIG, True)
+    # C(n+k-1, j) grows with j up to min(n-1, k), so the partial products
+    # only increase and the first one above the limit decides
+    count = 1
+    for j in range(1, min(n - 1, k) + 1):
+        count = count * (n + k - j) // j
+        if count > MAX_SUM_TERMS:
+            raise UnsupportedQuery(
+                f"the reduced sum for rank {n}, level {k} has more than "
+                f"{MAX_SUM_TERMS} terms"
+            )
+    work = count * (math.comb(n, 2) + (n + k) // 2 + 1)
+    if work > MAX_PAIR_UPDATES:
+        raise UnsupportedQuery(
+            f"the reduced sum for rank {n}, level {k} needs {work} pair updates "
+            f"and profile entries, above the limit of {MAX_PAIR_UPDATES}"
+        )
+    scale, shift = n * (n + k) ** (n - 1), 2 * math.comb(n, 2)
+    enclosure = evaluate_sum(
+        reduced_sum_terms(n, k), g - 1, scale, shift, _CERTIFY_BITS, max_bits=max_precision_bits
+    )
+    return DimResult(certify_integer(enclosure), METHOD_TRIG, True)
 
 
 def symmetric_power_dim(m: int, k: int) -> int:
@@ -288,19 +288,20 @@ def sl_dim(
 ) -> DimResult:
     """Dimension of level-k theta functions on the fixed-determinant space.
 
-    Dispatch: rank 1 is a point; degree 0 mod rank goes through the
-    certified trigonometric sum (twisting by an n-th power of a line bundle
-    reduces the degree to 0 without moving the theta bundle); genus 1 has
-    the symmetric-power closed form; anything else raises UnsupportedQuery.
+    Dispatch: rank 1 is a point; genus 1 has the symmetric-power closed
+    form C(h+k-1, k) at every degree; at genus >= 2, degree 0 mod rank goes
+    through the certified trigonometric sum (twisting by an n-th power of a
+    line bundle reduces the degree to 0 without moving the theta bundle);
+    anything else raises UnsupportedQuery.
     """
     if query.rank == 1:
         return DimResult(1, METHOD_RANK_ONE, False)
+    if query.genus == 1:
+        return DimResult(symmetric_power_dim(query.h, query.level), METHOD_ELLIPTIC, False)
     if query.degree % query.rank == 0:
         return beauville_sum(
             query.genus, query.rank, query.level, max_precision_bits=max_precision_bits
         )
-    if query.genus == 1:
-        return DimResult(symmetric_power_dim(query.h, query.level), METHOD_ELLIPTIC, False)
     raise UnsupportedQuery("degree not ≡ 0 mod rank at genus ≥ 2")
 
 

@@ -36,7 +36,6 @@ from thetadim.intervals import (
 from thetadim.theta import FormalLineClass, ThetaDescriptor, complementary_invariants, theta_rescale
 from thetadim.verlinde import (
     VerlindeQuery,
-    _certified_sum_value,
     beauville_sum,
     gl_dim,
     reduced_sum_terms,
@@ -63,7 +62,7 @@ def criterion(label):
 def test_criterion_1_pinned_values():
     with criterion("1 pinned values s(2,0,1)=4 and s(2,0,3)=20 at genus 2"):
         # cold-cache timing
-        _certified_sum_value.cache_clear()
+        beauville_sum.cache_clear()
         reduced_sum_terms.cache_clear()
         _base_scaled.cache_clear()
         _base_estimate.cache_clear()
@@ -238,7 +237,7 @@ def _pair_form(g, n, k):
         handed.append(args[:4])
         return original(*args, **kwargs)
 
-    _certified_sum_value.cache_clear()
+    beauville_sum.cache_clear()
     verlinde.evaluate_sum = recording
     try:
         beauville_sum(g, n, k)

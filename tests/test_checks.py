@@ -15,9 +15,10 @@ from thetadim.checks import (
     grid_sweep,
     involution,
 )
-from thetadim import verlinde
+from thetadim import checks, verlinde
 from thetadim.intervals import DEFAULT_MAX_PRECISION_BITS
 from thetadim.verlinde import UnsupportedQuery
+from mutants import first_profile_is_the_second, multiplicity_plus_one, transfer_by_rank
 
 triples = st.builds(
     InvolutionTriple,
@@ -144,11 +145,11 @@ class TestGridSweep:
     def test_sums_beyond_term_bound_are_skipped(self, monkeypatch, name):
         # The bound is checked inside the cached sum, so start and end cold.
         monkeypatch.setattr(verlinde, "MAX_SUM_TERMS", 10)
-        verlinde._certified_sum_value.cache_clear()
+        verlinde.beauville_sum.cache_clear()
         try:
             report = grid_sweep(name, GridBounds(4, 4, 2, 2, 0))
         finally:
-            verlinde._certified_sum_value.cache_clear()
+            verlinde.beauville_sum.cache_clear()
         assert report.passed
         assert report.instances_run > 0 and report.skipped_unsupported > 0
 
@@ -200,7 +201,7 @@ class TestGridSweep:
         # 36 (n, k) cells over seven genera: more cells than the 32-table
         # cache holds, yet each table is built once, because a cell's
         # genera are swept together; (k, n) reuses the sums of (n, k)
-        verlinde._certified_sum_value.cache_clear()
+        verlinde.beauville_sum.cache_clear()
         verlinde.reduced_sum_terms.cache_clear()
         report = grid_sweep("bott-szenes", GridBounds(6, 6, 2, 8, 0))
         assert report.passed and report.instances_run == 252
@@ -233,3 +234,48 @@ class TestReportInvariants:
         assert clean.status == "pass" and clean.passed
         dirty = grid_sweep("elliptic", GridBounds(1, 1, 1, 1, 0), negative_control=True)
         assert dirty.status == "fail" and not dirty.passed
+
+
+class TestMutantMatrix:
+    """Every check on the default grid under three broken engines.
+
+    A mutant must end in a reported FAIL, never an exception, and the
+    checks that catch each one are pinned, so a check that catches nothing
+    says so here: `involution` is theta arithmetic and evaluates no
+    dimension, so it never counts as evidence for the engine.
+    """
+
+    @pytest.mark.parametrize(
+        "module,name,mutant,catchers",
+        [
+            (verlinde, "reduced_sum_terms", multiplicity_plus_one,
+             {"theorem1", "bott-szenes", "duality", "elliptic"}),
+            (verlinde, "reduced_sum_terms", first_profile_is_the_second,
+             {"theorem1", "bott-szenes", "duality"}),
+            (checks, "gl_dim", transfer_by_rank, {"theorem1", "duality"}),
+        ],
+        ids=["multiplicity+1", "profile-swap", "transfer-by-n^g"],
+    )
+    def test_each_mutant_is_reported(self, monkeypatch, module, name, mutant, catchers):
+        monkeypatch.setattr(module, name, mutant)
+        verlinde.beauville_sum.cache_clear()
+        try:
+            reports = {check: grid_sweep(check, GridBounds(3, 3, 1, 3, 3)) for check in CHECK_NAMES}
+        finally:
+            verlinde.beauville_sum.cache_clear()
+        assert all(report.instances_run > 0 for report in reports.values())
+        assert {check for check, report in reports.items() if report.status == "fail"} == catchers
+        assert all(reports[check].passed for check in set(CHECK_NAMES) - catchers)
+        assert reports["involution"].passed
+
+    def test_broken_proof_is_the_instance_failure(self, monkeypatch):
+        monkeypatch.setattr(verlinde, "reduced_sum_terms", first_profile_is_the_second)
+        verlinde.beauville_sum.cache_clear()
+        try:
+            report = grid_sweep("bott-szenes", GridBounds(3, 3, 2, 2, 0))
+        finally:
+            verlinde.beauville_sum.cache_clear()
+        assert report.instances_run == 9 and report.failures
+        first = report.failures[0]
+        assert first.lhs.startswith("NoIntegerInInterval: no integer in ")
+        assert first.rhs == ""

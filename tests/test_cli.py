@@ -18,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import thetadim
-from thetadim import cli
+from thetadim import cli, verlinde
 from thetadim.checks import CHECK_NAMES
 from thetadim.cli import (
     EXIT_CERTIFICATION,
@@ -29,6 +29,7 @@ from thetadim.cli import (
     main,
 )
 from thetadim.verlinde import UnsupportedQuery, VerlindeQuery, gl_dim, sl_dim
+from mutants import first_profile_is_the_second, multiplicity_plus_one
 
 ROOT = Path(__file__).resolve().parents[1]
 # stdout bytes and exit code of every argv of the benchmark's CLI catalogue
@@ -122,6 +123,26 @@ class TestDim:
         assert code == EXIT_CERTIFICATION
         assert re.fullmatch(r"certification failed: width 2\*\*\d+\.\d exceeds "
                             r"target 1/4 at the precision cap \(2048 bits\)\n", err), err
+
+    def test_broken_proof_is_reported_without_traceback(self, capsys, monkeypatch):
+        # a table whose first multiplicity is one too many: s(2, 0, 1) = 6,
+        # so the transfer leaves a remainder; with its first profile in place
+        # of its second, the (2, 3) sum certifies no integer
+        monkeypatch.setattr(verlinde, "reduced_sum_terms", multiplicity_plus_one)
+        verlinde.beauville_sum.cache_clear()
+        try:
+            code, out, err = run_cli(capsys, "dim", "gl", "-g", "2", "-n", "2", "-d", "0",
+                                     "-k", "1")
+            assert (code, out) == (EXIT_CHECK_FAILED, "")
+            assert err.startswith("proof failed: h^g = 4 does not divide s*k^g = 6"), err
+            monkeypatch.setattr(verlinde, "reduced_sum_terms", first_profile_is_the_second)
+            verlinde.beauville_sum.cache_clear()
+            code, out, err = run_cli(capsys, "dim", "sl", "-g", "2", "-n", "2", "-d", "0",
+                                     "-k", "3")
+            assert (code, out) == (EXIT_CHECK_FAILED, "")
+            assert err.startswith("proof failed: no integer in "), err
+        finally:
+            verlinde.beauville_sum.cache_clear()
 
     def test_negative_degree_flag(self, capsys):
         code, out, _ = run_cli(capsys, "dim", "gl", "--genus", "2", "--rank", "2",

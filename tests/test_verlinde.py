@@ -2,6 +2,7 @@
 
 import math
 import re
+import time
 from pathlib import Path
 
 import pytest
@@ -9,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from thetadim import verlinde
-from thetadim.intervals import CosecantSquaredTerm, certify_integer, evaluate_sum
+from thetadim.intervals import certify_integer, evaluate_sum
 from thetadim.verlinde import (
     METHOD_ELLIPTIC,
     METHOD_RANK_ONE,
@@ -19,7 +20,6 @@ from thetadim.verlinde import (
     DimResult,
     UnsupportedQuery,
     VerlindeQuery,
-    _certified_sum_value,
     beauville_sum,
     gl_dim,
     reduced_sum_terms,
@@ -120,39 +120,53 @@ class TestBeauvilleSum:
         n, k = nk
         assert beauville_sum(g, n, k).value == unreduced_value(g, n, k)
 
-    def test_genus_one_is_one_term(self, monkeypatch):
-        # the C(4, 2) subsets containing 5, each an empty product, at power
-        # 0 with the genus-free scale 3 * 5**2 and shift 2 * C(3, 2), and no
-        # pair-form table is built
-        handed = []
+    def test_genus_one_is_the_closed_form(self, monkeypatch):
+        # genus 1 is answered by C(h+k-1, k) at every degree: neither the
+        # kernel nor the pair-form table is asked for anything
+        called = []
 
-        def recording(terms, *args, **kwargs):
-            handed.append((terms, *args))
-            return evaluate_sum(terms, *args, **kwargs)
+        def recording(name, original):
+            def record(*args, **kwargs):
+                called.append(name)
+                return original(*args, **kwargs)
+            return record
 
-        _certified_sum_value.cache_clear()
-        reduced_sum_terms.cache_clear()
-        monkeypatch.setattr(verlinde, "evaluate_sum", recording)
-        assert beauville_sum(1, 3, 2).value == 6
-        assert handed == [(((6, CosecantSquaredTerm(5, ())),), 0, 75, 6, 2)]
-        assert type(handed[0][0][0][1]) is CosecantSquaredTerm
-        assert reduced_sum_terms.cache_info().misses == 0
+        beauville_sum.cache_clear()
+        for name in ("evaluate_sum", "reduced_sum_terms"):
+            monkeypatch.setattr(verlinde, name, recording(name, getattr(verlinde, name)))
+        # d = 0 and d = 6, both 0 mod 3; then h = gcd(4, 2) = 2
+        assert sl_dim(VerlindeQuery(1, 3, 0, 2)) == DimResult(6, METHOD_ELLIPTIC, False)
+        assert sl_dim(VerlindeQuery(1, 3, 6, 2)) == DimResult(6, METHOD_ELLIPTIC, False)
+        assert sl_dim(VerlindeQuery(1, 4, 2, 3)) == DimResult(4, METHOD_ELLIPTIC, False)
+        # v = s * (k/h)^g; the transfer carries the closed form's False
+        assert gl_dim(VerlindeQuery(1, 3, 0, 2)) == DimResult(4, METHOD_TRANSFER, False)
+        assert gl_dim(VerlindeQuery(1, 4, 2, 3)) == DimResult(6, METHOD_TRANSFER, False)
+        assert called == []
 
     def test_work_bounds(self):
-        # the subset count is checked first; the pair work only where
-        # subsets are enumerated, so genus 1 stays exempt
+        # the subset count is checked first, then the pair work, at every
+        # genus; the closed form answers genus 1 without either
         with pytest.raises(UnsupportedQuery, match="terms"):
             beauville_sum(2, 40, 40)
         assert math.comb(500, 2) * 500 > MAX_PAIR_UPDATES
         with pytest.raises(UnsupportedQuery, match="pair updates"):
             beauville_sum(2, 500, 1)
-        assert beauville_sum(1, 500, 1).value == 500
+        with pytest.raises(UnsupportedQuery, match="pair updates"):
+            beauville_sum(1, 500, 1)
+        assert sl_dim(VerlindeQuery(1, 500, 0, 1)).value == 500
+        # C(1999999, 999999) has about 600,000 digits; the subset bound
+        # stops at the first partial product above it and never prints it
+        start = time.perf_counter()
+        with pytest.raises(UnsupportedQuery, match="more than 100000 terms") as info:
+            beauville_sum(2, 10**6, 10**6)
+        assert time.perf_counter() - start < 1.0
+        assert len(str(info.value)) < 200
 
 
 class TestPairFormTable:
     def test_one_table_serves_every_genus(self):
         # the subsets of one (n, k) are walked once for genera 2..30
-        _certified_sum_value.cache_clear()
+        beauville_sum.cache_clear()
         reduced_sum_terms.cache_clear()
         values = [beauville_sum(g, 3, 4).value for g in range(2, 31)]
         assert reduced_sum_terms.cache_info().misses == 1
