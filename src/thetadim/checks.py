@@ -25,7 +25,10 @@ Queries the engine cannot evaluate are skipped and counted, never treated
 as failures, and a sweep that runs no instance is "empty", not passed.  A
 broken proof at an instance, a certified interval that holds no integer
 or a transfer that leaves a remainder, is reported as that instance's
-failure, and the sweep goes on.
+failure, and the sweep goes on.  An instance whose sum misses the width
+target at the precision cap is counted as uncertified, and the sweep
+goes on; a sweep with no failure but an uncertified instance has not
+passed either: its status is "uncertified".
 Sweeps enumerate (n, k) outermost, then the genus, then the degree, so
 each pair-form table is built once per sweep and serves every genus of
 its cell, and report failures sorted into (g, n, d, k) order, so reports
@@ -37,7 +40,7 @@ import itertools
 import math
 from collections import namedtuple
 
-from .intervals import DEFAULT_MAX_PRECISION_BITS, NoIntegerInInterval
+from .intervals import DEFAULT_MAX_PRECISION_BITS, CertificationError, NoIntegerInInterval
 from .theta import complementary_invariants
 from .verlinde import (
     IntegralityViolation,
@@ -80,25 +83,31 @@ CheckFailure = namedtuple("CheckFailure", "inputs lhs rhs")
 class CheckReport(
     namedtuple(
         "CheckReport",
-        "check_name instances_run failures skipped_unsupported note",
-        defaults=((), 0, ""),
+        "check_name instances_run failures skipped_unsupported note uncertified",
+        defaults=((), 0, "", 0),
     )
 ):
     """Outcome of one identity check or of a whole grid sweep.
 
-    A report that ran no instance has not passed: its status is "empty".
+    `instances_run` counts the instances compared; the skipped
+    (unsupported) and the uncertified (past the precision cap) ones are
+    counted apart.  A report that ran no instance has not passed: its
+    status is "empty".  Nor has one with an uncertified instance: with no
+    failure, its status is "uncertified".
     """
 
     __slots__ = ()
 
     @property
     def passed(self) -> bool:
-        return self.instances_run > 0 and not self.failures
+        return self.instances_run > 0 and not self.failures and not self.uncertified
 
     @property
     def status(self) -> str:
         if self.failures:
             return "fail"
+        if self.uncertified:
+            return "uncertified"
         return "pass" if self.passed else "empty"
 
     def to_json_dict(self) -> dict:
@@ -106,10 +115,12 @@ class CheckReport(
             "check": self.check_name,
             "instances_run": self.instances_run,
             "skipped_unsupported": self.skipped_unsupported,
-            "failures": [
-                {"input": list(f.inputs), "lhs": f.lhs, "rhs": f.rhs} for f in self.failures
-            ],
         }
+        if self.uncertified:
+            payload["uncertified"] = self.uncertified
+        payload["failures"] = [
+            {"input": list(f.inputs), "lhs": f.lhs, "rhs": f.rhs} for f in self.failures
+        ]
         if self.note:
             payload["note"] = self.note
         return payload
@@ -235,10 +246,11 @@ def grid_sweep(
 ) -> CheckReport:
     """Run one named check on every valid tuple inside the bounds.
 
-    Unsupported instances are skipped and counted separately.  An instance
-    whose proof breaks, by NoIntegerInInterval or IntegralityViolation, is
-    a failure whose left side is "<exception name>: <message>" and whose
-    right side is empty.  With
+    Unsupported instances are skipped and counted separately, and so are
+    uncertified ones, whose sum raises CertificationError at the precision
+    cap.  An instance whose proof breaks, by NoIntegerInInterval or
+    IntegralityViolation, is a failure whose left side is
+    "<exception name>: <message>" and whose right side is empty.  With
     `negative_control` the right-hand side of every comparison is
     deliberately perturbed, so failures are expected: this exercises the
     failure-reporting path itself.  Failures are listed in (g, n, d, k)
@@ -255,13 +267,16 @@ def grid_sweep(
         genera(bounds),
         degrees(bounds),
     )
-    instances = skipped = 0
+    instances = skipped = uncertified = 0
     failures = []
     for n, k, g, d in grid:
         try:
             failure = _compare(check, (g, n, d, k), max_precision_bits, negative_control)
         except UnsupportedQuery:
             skipped += 1
+            continue
+        except CertificationError:
+            uncertified += 1
             continue
         except (NoIntegerInInterval, IntegralityViolation) as exc:
             failure = CheckFailure((g, n, d, k), f"{type(exc).__name__}: {exc}", "")
@@ -274,7 +289,7 @@ def grid_sweep(
         name += " [negative-control]"
         note = (note + "; " if note else "") + "right-hand sides deliberately perturbed"
     # the inputs are distinct, so failures sort by them alone
-    return CheckReport(name, instances, tuple(sorted(failures)), skipped, note)
+    return CheckReport(name, instances, tuple(sorted(failures)), skipped, note, uncertified)
 
 
 def _perturb(rhs):

@@ -33,13 +33,15 @@ reported as EMPTY, and a `factor` precondition the theta layer rejects),
 at the precision cap; a sum whose a priori estimate, from its genus-free
 scale and shift, lies beyond twice the cap and 128 bits fails before it
 is evaluated or any power of the scale is formed, and the message then
-reads "estimated width"), 64 usage error (including an
-unknown check name, a `--max-precision-bits` below 1 and `factor` ranks
-below 1).  The `thetadim` entry point (`run`) restores the default SIGPIPE
-disposition where the platform has one, so a reader that closes stdout
-early (`thetadim table ... | head`) ends the process quietly by that
-signal, as it ends Unix filters, rather than with a traceback and exit 1;
-`main` itself leaves signal handling to its caller.
+reads "estimated width"; a check sweep with no failure but an instance
+that missed the target at the cap prints its report, which counts such
+instances as uncertified, and exits 3 with status UNCERTIFIED), 64 usage
+error (including an unknown check name, a `--max-precision-bits` below 1
+and `factor` ranks below 1).  The `thetadim` entry point (`run`) restores
+the default SIGPIPE disposition where the platform has one, so a reader
+that closes stdout early (`thetadim table ... | head`) ends the process
+quietly by that signal, as it ends Unix filters, rather than with a
+traceback and exit 1; `main` itself leaves signal handling to its caller.
 """
 
 import signal
@@ -142,7 +144,8 @@ def _render_report_text(report) -> str:
     lines = [
         f"check {report.check_name}: {report.instances_run} instances, "
         f"{report.skipped_unsupported} skipped (unsupported), "
-        f"{len(report.failures)} failures: {report.status.upper()}"
+        + (f"{report.uncertified} uncertified, " if report.uncertified else "")
+        + f"{len(report.failures)} failures: {report.status.upper()}"
     ]
     for failure in report.failures:
         g, n, d, k = failure.inputs
@@ -179,6 +182,8 @@ def _cmd_check(args) -> int:
         print(_render_report_text(report))
     if report.failures:
         return EXIT_CHECK_FAILED
+    if report.uncertified:
+        return EXIT_CERTIFICATION
     return EXIT_OK if report.passed else EXIT_UNSUPPORTED
 
 

@@ -13,7 +13,10 @@ remaining regime (genus >= 2 with degree not 0 mod n) has no formula here
 and raises UnsupportedQuery rather than guessing.  The sum itself,
 `beauville_sum`, is defined at every genus: at genus 1 it certifies the
 sum of its table's multiplicities, which `checks` compares with the
-closed form.
+closed form.  Its table, one per (n, k) from `reduced_sum_terms`, bounds
+its own work, so every caller of the table is bounded; `beauville_sum`
+only fetches it, forms the genus-free scale and shift, and certifies the
+kernel's enclosure.
 """
 
 import math
@@ -36,18 +39,18 @@ METHOD_TRANSFER = "theorem1-transfer"
 METHOD_RANK_ONE = "trivial-rank-one"
 
 #: Largest number of subsets C(n+k-1, n-1) of a reduced trigonometric sum
-#: that `beauville_sum` enumerates; beyond it the query is rejected as
+#: that `reduced_sum_terms` enumerates; beyond it the table is refused as
 #: unsupported before any term is built.
 MAX_SUM_TERMS = 100_000
 
-#: Largest enumeration work that `beauville_sum` accepts, at every genus:
+#: Largest enumeration work that `reduced_sum_terms` accepts:
 #: C(n+k-1, n-1) subsets times, for each, its C(n, 2) pair updates plus the
 #: floor((n+k)/2) + 1 entries of a dense pair-offset profile.  The
 #: prefix-shared walk of `reduced_sum_terms` does less than this, since a
 #: prefix's pairs are added once for all its subsets and a profile is one
 #: packed integer, so the bound is kept as a conservative count of the
 #: walk.
-#: Beyond it the query is rejected as unsupported before any term is built.
+#: Beyond it the table is refused as unsupported before any term is built.
 #: The pairs grow like n^3 at level 1, where the subset count alone is only
 #: n; the profile entries grow like k^2 at rank 2, where there is one pair.
 MAX_PAIR_UPDATES = 50_000_000
@@ -166,7 +169,14 @@ def reduced_sum_terms(n: int, k: int) -> tuple[tuple[int, CosecantSquaredTerm], 
     subset, they are a run of consecutive integers and the subset is
     completed in one step, so at level 1 the walk does about n^2 packed
     additions, not n^3.  At rank 1 the one subset {M} has no pairs, so
-    the single empty term is returned without a walk.  Tables are cached
+    the single empty term is returned without a walk.
+
+    The work is bounded here, whoever asks for the table: a table of more
+    than MAX_SUM_TERMS subsets, or of more than MAX_PAIR_UPDATES pair
+    updates and profile entries, raises UnsupportedQuery before any term
+    is built, and the walk's recursion stays at most 463 deep.  The
+    subset count is bounded by a running product that stops above the
+    limit, so a huge one is never formed.  Tables are cached
     per (n, k), at most 32 of them, the least recently used dropped
     first; a check sweep asks for every genus of one (n, k) in a row, so
     it builds each table once.
@@ -177,6 +187,22 @@ def reduced_sum_terms(n: int, k: int) -> tuple[tuple[int, CosecantSquaredTerm], 
     """
     if n < 1 or k < 1:
         raise ValueError("rank and level must both be >= 1")
+    # C(n+k-1, j) grows with j up to min(n-1, k), so the partial products
+    # only increase and the first one above the limit decides
+    count = 1
+    for j in range(1, min(n - 1, k) + 1):
+        count = count * (n + k - j) // j
+        if count > MAX_SUM_TERMS:
+            raise UnsupportedQuery(
+                f"the reduced sum for rank {n}, level {k} has more than "
+                f"{MAX_SUM_TERMS} terms"
+            )
+    work = count * (math.comb(n, 2) + (n + k) // 2 + 1)
+    if work > MAX_PAIR_UPDATES:
+        raise UnsupportedQuery(
+            f"the reduced sum for rank {n}, level {k} needs {work} pair updates "
+            f"and profile entries, above the limit of {MAX_PAIR_UPDATES}"
+        )
     modulus = n + k
     if n == 1:
         return ((1, CosecantSquaredTerm(modulus, ())),)
@@ -197,8 +223,8 @@ def reduced_sum_terms(n: int, k: int) -> tuple[tuple[int, CosecantSquaredTerm], 
         # it each get one more pair, with the element just added.  Each
         # subset's profile is counted where the walk completes it, so
         # profiles enter `counts` in lexicographic order of their first
-        # subset.  Within MAX_PAIR_UPDATES the recursion is at most 463
-        # deep (rank 464, level 1).
+        # subset.  The bounds above keep the recursion at most 463 deep
+        # (rank 464, level 1).
         if left == 1:
             for p in pending:
                 p += key
@@ -243,32 +269,16 @@ def beauville_sum(
     whose first precision is chosen a priori, so the sum is normally
     certified in one precision step.  At genus 1 the power is 0, so every
     term is 1 and the certified value is the sum of the table's
-    multiplicities, C(n+k-1, n-1).  A sum over more than MAX_SUM_TERMS
-    subsets, or of more than MAX_PAIR_UPDATES pair updates and profile
-    entries, raises UnsupportedQuery before any term is built; the subset
-    count is bounded by a running product that stops above the limit, so
-    a huge one is never formed.  Results are cached per argument tuple.
+    multiplicities, C(n+k-1, n-1).  The table is fetched first, so a
+    query past the work bounds of `reduced_sum_terms` raises its
+    UnsupportedQuery before the scale n (n+k)^(n-1) is formed.  Results
+    are cached per argument tuple.
     """
-    # C(n+k-1, j) grows with j up to min(n-1, k), so the partial products
-    # only increase and the first one above the limit decides
-    count = 1
-    for j in range(1, min(n - 1, k) + 1):
-        count = count * (n + k - j) // j
-        if count > MAX_SUM_TERMS:
-            raise UnsupportedQuery(
-                f"the reduced sum for rank {n}, level {k} has more than "
-                f"{MAX_SUM_TERMS} terms"
-            )
-    work = count * (math.comb(n, 2) + (n + k) // 2 + 1)
-    if work > MAX_PAIR_UPDATES:
-        raise UnsupportedQuery(
-            f"the reduced sum for rank {n}, level {k} needs {work} pair updates "
-            f"and profile entries, above the limit of {MAX_PAIR_UPDATES}"
-        )
+    # the table first: its bounds refuse a huge (n, k) before the scale,
+    # which can have millions of digits, is formed
+    terms = reduced_sum_terms(n, k)
     scale, shift = n * (n + k) ** (n - 1), 2 * math.comb(n, 2)
-    enclosure = evaluate_sum(
-        reduced_sum_terms(n, k), g - 1, scale, shift, _CERTIFY_BITS, max_bits=max_precision_bits
-    )
+    enclosure = evaluate_sum(terms, g - 1, scale, shift, _CERTIFY_BITS, max_bits=max_precision_bits)
     return DimResult(certify_integer(enclosure), METHOD_TRIG, True)
 
 
@@ -278,8 +288,6 @@ def symmetric_power_dim(m: int, k: int) -> int:
         raise ValueError("arguments must be nonnegative")
     if k == 0:
         return 1
-    if m == 0:
-        return 0
     return math.comb(m + k - 1, k)
 
 

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from thetadim.checks import (
     CHECK_NAMES,
+    CheckFailure,
     CheckReport,
     GridBounds,
     InvolutionTriple,
@@ -18,7 +19,12 @@ from thetadim.checks import (
 from thetadim import checks, verlinde
 from thetadim.intervals import DEFAULT_MAX_PRECISION_BITS
 from thetadim.verlinde import UnsupportedQuery
-from mutants import first_profile_is_the_second, multiplicity_plus_one, transfer_by_rank
+from mutants import (
+    first_profile_is_the_second,
+    modulus_plus_one,
+    multiplicity_plus_one,
+    transfer_by_rank,
+)
 
 triples = st.builds(
     InvolutionTriple,
@@ -143,13 +149,16 @@ class TestGridSweep:
 
     @pytest.mark.parametrize("name", ["elliptic", "bott-szenes"])
     def test_sums_beyond_term_bound_are_skipped(self, monkeypatch, name):
-        # The bound is checked inside the cached sum, so start and end cold.
+        # The bound is checked where the cached table is built, and the
+        # cached sum reads that table, so start and end with both cold.
         monkeypatch.setattr(verlinde, "MAX_SUM_TERMS", 10)
         verlinde.beauville_sum.cache_clear()
+        verlinde.reduced_sum_terms.cache_clear()
         try:
             report = grid_sweep(name, GridBounds(4, 4, 2, 2, 0))
         finally:
             verlinde.beauville_sum.cache_clear()
+            verlinde.reduced_sum_terms.cache_clear()
         assert report.passed
         assert report.instances_run > 0 and report.skipped_unsupported > 0
 
@@ -236,8 +245,28 @@ class TestReportInvariants:
         assert dirty.status == "fail" and not dirty.passed
 
 
+class TestUncertified:
+    """An instance past the precision cap is counted, and the sweep goes on."""
+
+    @pytest.mark.parametrize("name", ["theorem1", "bott-szenes"])
+    def test_sweep_past_the_cap_finishes(self, name):
+        report = grid_sweep(name, GridBounds(3, 3, 2, 40, 3), max_precision_bits=64)
+        assert report.uncertified > 0 and report.instances_run > 0
+        assert report.failures == ()
+        assert report.status == "uncertified" and not report.passed
+
+    def test_status_order(self):
+        # a failure outranks an uncertified instance, which outranks empty
+        failure = CheckFailure((2, 1, 0, 1), "1", "2")
+        assert CheckReport("x", 3, (failure,), uncertified=1).status == "fail"
+        assert CheckReport("x", 3, uncertified=1).status == "uncertified"
+        assert CheckReport("x", 0, uncertified=1).status == "uncertified"
+        assert not CheckReport("x", 3, uncertified=1).passed
+        assert CheckReport("x", 3).uncertified == 0
+
+
 class TestMutantMatrix:
-    """Every check on the default grid under three broken engines.
+    """Every check on the default grid under four broken engines.
 
     A mutant must end in a reported FAIL, never an exception, and the
     checks that catch each one are pinned, so a check that catches nothing
@@ -252,9 +281,11 @@ class TestMutantMatrix:
              {"theorem1", "bott-szenes", "duality", "elliptic"}),
             (verlinde, "reduced_sum_terms", first_profile_is_the_second,
              {"theorem1", "bott-szenes", "duality"}),
+            (verlinde, "reduced_sum_terms", modulus_plus_one,
+             {"theorem1", "bott-szenes", "duality"}),
             (checks, "gl_dim", transfer_by_rank, {"theorem1", "duality"}),
         ],
-        ids=["multiplicity+1", "profile-swap", "transfer-by-n^g"],
+        ids=["multiplicity+1", "profile-swap", "modulus+1", "transfer-by-n^g"],
     )
     def test_each_mutant_is_reported(self, monkeypatch, module, name, mutant, catchers):
         monkeypatch.setattr(module, name, mutant)

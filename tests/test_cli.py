@@ -265,6 +265,29 @@ class TestCheck:
         assert out.startswith(f"check {name}: 0 instances")
         assert out.endswith("EMPTY\n")
 
+    @pytest.mark.parametrize("name", ["theorem1", "bott-szenes"])
+    def test_sweep_past_the_cap_reports_uncertified(self, capsys, name):
+        # 64 bits cannot certify the higher genera; the sweep goes on past
+        # them and exits 3 with its report, not with a bare stderr line
+        argv = ("check", name, "--max-precision-bits", "64", "--genus-range", "2..40")
+        code, out, err = run_cli(capsys, *argv)
+        assert code == EXIT_CERTIFICATION and err == ""
+        assert out.startswith(f"check {name}: ")
+        assert re.search(r"skipped \(unsupported\), [1-9]\d* uncertified, 0 failures: "
+                         r"UNCERTIFIED$", out.splitlines()[0])
+        code, out, _ = run_cli(capsys, *argv, "--format", "json")
+        payload = json.loads(out)
+        assert code == EXIT_CERTIFICATION
+        assert payload["uncertified"] > 0 and payload["failures"] == []
+        assert list(payload) == ["check", "instances_run", "skipped_unsupported",
+                                 "uncertified", "failures"]
+
+    def test_failure_outranks_uncertified(self, capsys):
+        code, out, _ = run_cli(capsys, "check", "bott-szenes", "--max-precision-bits", "64",
+                               "--genus-range", "2..40", "--negative-control")
+        assert code == EXIT_CHECK_FAILED
+        assert " uncertified, " in out and out.splitlines()[0].endswith("FAIL")
+
     def test_bad_genus_range(self, capsys):
         code, _, _ = run_cli(capsys, "check", "involution", "--genus-range", "nope")
         assert code == EXIT_USAGE

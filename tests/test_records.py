@@ -37,10 +37,10 @@ RECORDS = [
      "CheckFailure(inputs=(2, 1, 0, 1), lhs='1', rhs='2')"),
     (CheckReport, dict(check_name="duality", instances_run=1,
                        failures=(CheckFailure((2, 1, 0, 1), "1", "2"),),
-                       skipped_unsupported=4, note="n"),
+                       skipped_unsupported=4, note="n", uncertified=2),
      "CheckReport(check_name='duality', instances_run=1, "
      "failures=(CheckFailure(inputs=(2, 1, 0, 1), lhs='1', rhs='2'),), "
-     "skipped_unsupported=4, note='n')"),
+     "skipped_unsupported=4, note='n', uncertified=2)"),
     (GridBounds, dict(max_rank=2, max_level=3, genus_min=1, genus_max=4, max_abs_degree=0),
      "GridBounds(max_rank=2, max_level=3, genus_min=1, genus_max=4, max_abs_degree=0)"),
 ]

@@ -182,6 +182,19 @@ class TestPairFormTable:
         assert sum(m for m, _ in table) == math.comb(6, 3)
         assert reduced_sum_terms(4, 3) is table
 
+    def test_table_bounds_its_own_work(self):
+        # a direct call is bounded as a sum is: rank 1200 at level 1 would
+        # recurse past Python's limit, and (40, 40) would walk without end
+        start = time.perf_counter()
+        with pytest.raises(UnsupportedQuery, match="pair updates"):
+            reduced_sum_terms(1200, 1)
+        with pytest.raises(UnsupportedQuery, match="more than 100000 terms"):
+            reduced_sum_terms(40, 40)
+        with pytest.raises(UnsupportedQuery, match="more than 100000 terms") as info:
+            reduced_sum_terms(10**6, 10**6)
+        assert time.perf_counter() - start < 1.0
+        assert len(str(info.value)) < 200
+
     def test_cache_bound_is_finite_and_documented(self):
         maxsize = reduced_sum_terms.cache_parameters()["maxsize"]
         assert maxsize is not None and maxsize > 0
