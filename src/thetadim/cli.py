@@ -59,6 +59,14 @@ EXIT_UNSUPPORTED = 2
 EXIT_CERTIFICATION = 3
 EXIT_USAGE = 64
 
+# A check report's status (`CheckReport.status`) decides its exit code.
+_CHECK_EXITS = {
+    "fail": EXIT_CHECK_FAILED,
+    "uncertified": EXIT_CERTIFICATION,
+    "pass": EXIT_OK,
+    "empty": EXIT_UNSUPPORTED,
+}
+
 
 def _bind(home: str) -> None:
     """Put the package's lazy names from `home` into this module's globals,
@@ -180,11 +188,7 @@ def _cmd_check(args) -> int:
         print(json.dumps(report.to_json_dict()))
     else:
         print(_render_report_text(report))
-    if report.failures:
-        return EXIT_CHECK_FAILED
-    if report.uncertified:
-        return EXIT_CERTIFICATION
-    return EXIT_OK if report.passed else EXIT_UNSUPPORTED
+    return _CHECK_EXITS[report.status]
 
 
 def _cmd_table(args) -> int:

@@ -71,10 +71,10 @@ _PI_EXTRA_BITS = 16
 _SINE_EXTRA_BITS = 12
 
 # The proved width of a sine enclosure in units of the working scale (see
-# `sin_enclosure`); the a priori precision estimate (`_first_rung`) reads
-# it, with a few bits of margin for the crudeness of its rounding count.
+# `sin_enclosure`); the a priori precision estimate (`_first_rung`), a
+# first-order count of the kernel's roundings, reads it, and the ladder
+# doubles if that count falls short.
 _SINE_WIDTH_UNITS = 4
-_MARGIN_BITS = 4
 
 
 class CertificationError(Exception):
@@ -359,12 +359,13 @@ def _first_rung(
     2**(power * (log2|scale| - shift)).  A factor's base enclosure adds its
     relative error once per unit of exponent, its exponent times `power`.
     Factors below 1, which only sine products have, carry an absolute error
-    and are counted as 1.  Floats only choose the rung: the enclosure stays
-    rigorous, and the ladder still doubles if the estimate falls short.  An
-    estimate beyond twice the cap, and beyond 128 bits, misses the cap by
-    far more than the estimate's crudeness, so it raises CertificationError
-    before any pi, sine, product or power of the scale is computed, with
-    the estimated width at the cap in its message.
+    and are counted as 1.  The estimate is this first-order count of the
+    kernel's roundings and nothing more: floats only choose the rung, the
+    enclosure stays rigorous, and the ladder doubles if the count falls
+    short.  An estimate beyond twice the cap, and beyond 128 bits, misses
+    the cap by far more than a first-order count can be off, so it raises
+    CertificationError before any pi, sine, product or power of the scale
+    is computed, with the estimated width at the cap in its message.
     """
     bounds = []
     for coeff, term in prepared:
@@ -383,9 +384,9 @@ def _first_rung(
         top = max(bounds)
         error_log2 = top + math.log2(sum(2.0 ** (b - top) for b in bounds))
         scale_log2 = power * (math.log2(abs(scale)) - shift)
-        needed = error_log2 + scale_log2 + target_bits + _MARGIN_BITS - _GUARD_BITS
+        needed = error_log2 + scale_log2 + target_bits - _GUARD_BITS
     if needed > max(2 * max_bits, 128):
-        width_log2 = needed - _MARGIN_BITS - target_bits - max_bits
+        width_log2 = needed - target_bits - max_bits
         raise _cap_error(f"estimated width 2**{width_log2:.1f}", target_bits, max_bits)
     precision = min(_START_BITS, max_bits)
     while precision < needed and precision < max_bits:

@@ -168,18 +168,19 @@ def reduced_sum_terms(n: int, k: int) -> tuple[tuple[int, CosecantSquaredTerm], 
     one entry per subset.  Where every remaining candidate must join the
     subset, they are a run of consecutive integers and the subset is
     completed in one step, so at level 1 the walk does about n^2 packed
-    additions, not n^3.  At rank 1 the one subset {M} has no pairs, so
-    the single empty term is returned without a walk.
+    additions, not n^3.
 
-    The work is bounded here, whoever asks for the table: a table of more
-    than MAX_SUM_TERMS subsets, or of more than MAX_PAIR_UPDATES pair
-    updates and profile entries, raises UnsupportedQuery before any term
-    is built, and the walk's recursion stays at most 463 deep.  The
-    subset count is bounded by a running product that stops above the
-    limit, so a huge one is never formed.  Tables are cached
-    per (n, k), at most 32 of them, the least recently used dropped
-    first; a check sweep asks for every genus of one (n, k) in a row, so
-    it builds each table once.
+    At rank 1 the one subset {M} has no pairs, so the single empty term is
+    returned at once, at any level, before either bound below is checked.
+    Above rank 1 the work is bounded here, whoever asks for the table: a
+    table of more than MAX_SUM_TERMS subsets, or of more than
+    MAX_PAIR_UPDATES pair updates and profile entries, raises
+    UnsupportedQuery before any term is built, and the walk's recursion
+    stays at most 463 deep.  The subset count is bounded by a running
+    product that stops above the limit, so a huge one is never formed.
+    Tables are cached per (n, k), at most 32 of them, the least recently
+    used dropped first; a check sweep asks for every genus of one (n, k)
+    in a row, so it builds each table once.
 
     The symmetry S -> complement of S is deliberately not used: it would
     turn s(n, 0, k) and s(k, 0, n) into one computation and make the
@@ -187,6 +188,9 @@ def reduced_sum_terms(n: int, k: int) -> tuple[tuple[int, CosecantSquaredTerm], 
     """
     if n < 1 or k < 1:
         raise ValueError("rank and level must both be >= 1")
+    modulus = n + k
+    if n == 1:
+        return ((1, CosecantSquaredTerm(modulus, ())),)
     # C(n+k-1, j) grows with j up to min(n-1, k), so the partial products
     # only increase and the first one above the limit decides
     count = 1
@@ -203,9 +207,6 @@ def reduced_sum_terms(n: int, k: int) -> tuple[tuple[int, CosecantSquaredTerm], 
             f"the reduced sum for rank {n}, level {k} needs {work} pair updates "
             f"and profile entries, above the limit of {MAX_PAIR_UPDATES}"
         )
-    modulus = n + k
-    if n == 1:
-        return ((1, CosecantSquaredTerm(modulus, ())),)
     # A profile is packed into one integer, c_d in the digit of `width`
     # bits at position d.  A count never exceeds the C(n, 2) pairs, nor n,
     # since each element of S has at most two partners at offset d.

@@ -331,19 +331,50 @@ def test_table_build_leaves_no_cyclic_garbage():
         gc.enable()
 
 
-@pytest.mark.parametrize("g,n,k", [(12, 5, 5), (30, 3, 2), (60, 4, 1), (96, 4, 1)])
-def test_reduced_path_first_rung_on_deep_values(g, n, k):
-    # 100- to 200-bit values: the a priori rung is above the 64-bit start
-    # and still certifies without doubling.
+DEEP_FIRST_RUNGS = [
+    (12, 5, 5, 256),
+    (30, 3, 2, 128),
+    (60, 4, 1, 128),
+    (72, 4, 1, 128),
+    (96, 4, 1, 256),
+    (50, 7, 5, 1024),
+    (400, 3, 3, 2048),
+]
+
+
+@pytest.mark.parametrize(
+    "g,n,k,rung", DEEP_FIRST_RUNGS, ids=[f"{g}-{n}-{k}" for g, n, k, _ in DEEP_FIRST_RUNGS]
+)
+def test_reduced_path_first_rung_on_deep_values(g, n, k, rung):
+    # 100-bit and larger values: the a priori rung is above the 64-bit start,
+    # no higher than the sum needs, and still certifies without doubling.
     reduced, bits = _certify_at_first_rung(*_pair_form(g, n, k))
-    assert bits >= 128
+    assert bits == rung
     assert reduced == _unreduced_at_first_rung(g, n, k)
 
 
+def test_pair_form_grid_certifies_at_its_first_rungs():
+    # the rung estimate is a first-order count of the kernel's roundings,
+    # which the genus amplifies: every pair-form sum on this grid, up to
+    # genus 600, certifies at its a priori rung without doubling
+    cells = [
+        (g, n, k)
+        for g in (2, 19, 150, 600)
+        for n in range(2, 7)
+        for k in range(1, 7)
+        if math.comb(n + k - 1, n - 1) <= 200
+    ]
+    assert len(cells) == 108
+    for g, n, k in cells:
+        terms = reduced_sum_terms(n, k)
+        scale, shift = n * (n + k) ** (n - 1), 2 * math.comb(n, 2)
+        _certify_at_first_rung(terms, g - 1, scale, shift)
+
+
 # The lookup-deep cells whose a priori rung is 256 bits; the rest start,
-# and certify, at 128.
+# and certify, at 128, (72, 4, 1) among them with 3.3 bits to spare.
 DEEP_CELLS_AT_256 = {
-    (66, 5, 1), (72, 4, 1), (78, 2, 2), (78, 4, 1), (84, 2, 2),
+    (66, 5, 1), (78, 2, 2), (78, 4, 1), (84, 2, 2),
     (84, 4, 1), (90, 4, 1), (96, 3, 1), (96, 4, 1),
 }
 

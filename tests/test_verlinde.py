@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from thetadim import verlinde
-from thetadim.intervals import certify_integer, evaluate_sum
+from thetadim.intervals import CosecantSquaredTerm, certify_integer, evaluate_sum
 from thetadim.verlinde import (
     METHOD_ELLIPTIC,
     METHOD_RANK_ONE,
@@ -194,6 +194,11 @@ class TestPairFormTable:
             reduced_sum_terms(10**6, 10**6)
         assert time.perf_counter() - start < 1.0
         assert len(str(info.value)) < 200
+        # rank 1 never walks, so no bound refuses it at any level
+        start = time.perf_counter()
+        assert reduced_sum_terms(1, 10**8) == ((1, CosecantSquaredTerm(10**8 + 1, ())),)
+        assert beauville_sum(2, 1, 10**8).value == 1
+        assert time.perf_counter() - start < 0.1
 
     def test_cache_bound_is_finite_and_documented(self):
         maxsize = reduced_sum_terms.cache_parameters()["maxsize"]
