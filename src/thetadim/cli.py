@@ -33,15 +33,19 @@ reported as EMPTY, and a `factor` precondition the theta layer rejects),
 at the precision cap; a sum whose a priori estimate, from its genus-free
 scale and shift, lies beyond twice the cap and 128 bits fails before it
 is evaluated or any power of the scale is formed, and the message then
-reads "estimated width"; a check sweep with no failure but an instance
-that missed the target at the cap prints its report, which counts such
-instances as uncertified, and exits 3 with status UNCERTIFIED), 64 usage
-error (including an unknown check name, a `--max-precision-bits` below 1
-and `factor` ranks below 1).  The `thetadim` entry point (`run`) restores
-the default SIGPIPE disposition where the platform has one, so a reader
-that closes stdout early (`thetadim table ... | head`) ends the process
-quietly by that signal, as it ends Unix filters, rather than with a
-traceback and exit 1; `main` itself leaves signal handling to its caller.
+reads "estimated width"; one whose estimate lies between the cap and twice
+the cap is evaluated at the cap before it fails, so `dim sl -g 2000 -n 5
+-d 0 -k 5` exits 3 after 1.0-1.3 s on a 2-CPU VM with "width 2**13850.2
+exceeds target 1/4 at the precision cap (16384 bits)"; a check sweep
+with no failure but an instance that missed the target at the cap prints
+its report, which counts such instances as uncertified, and exits 3 with
+status UNCERTIFIED), 64 usage error (including an unknown check name, a
+`--max-precision-bits` below 1 and `factor` ranks below 1).  The
+`thetadim` entry point (`run`) restores the default SIGPIPE disposition
+where the platform has one, so a reader that closes stdout early
+(`thetadim table ... | head`) ends the process quietly by that signal, as
+it ends Unix filters, rather than with a traceback and exit 1; `main`
+itself leaves signal handling to its caller.
 """
 
 import signal
@@ -235,62 +239,53 @@ def _cmd_table(args) -> int:
     return EXIT_OK
 
 
-def _require(args, names: list[str]) -> bool:
-    missing = [f"--{name}" for name in names if getattr(args, name.replace("-", "_")) is None]
-    if missing:
-        print(
-            f"thetadim factor {args.subject}: error: missing {' '.join(missing)}",
-            file=sys.stderr,
-        )
-        return False
-    return True
-
-
 def _cmd_factor(args) -> int:
     _bind("theta")
+    missing = [f"--{flag}" for flag in _FACTOR_FLAGS[args.subject] if getattr(args, flag) is None]
+    if missing:
+        print(f"thetadim factor {args.subject}: error: missing", *missing, file=sys.stderr)
+        return EXIT_USAGE
     try:
-        return _factor(args)
+        if args.subject == "pullback":
+            F = ThetaDescriptor(args.rkF, FormalLineClass.symbol("detF"))
+            L1 = FormalLineClass.symbol("L1", degree=args.d1)
+            fact = pullback_split(args.n1, args.d1, args.n2, F, L1)
+            det = fact.right_descriptor.det.format(explicit_exponents=True)
+            print(f"theta^{fact.left_exponent} [x] "
+                  f"theta{{rank={fact.right_descriptor.rank}, det={det}}}")
+        elif args.subject == "rescale":
+            F = ThetaDescriptor(args.rkF, FormalLineClass.symbol("detF"))
+            F0 = ThetaDescriptor(args.rkF0, FormalLineClass.symbol("detF0"))
+            a, twist = theta_rescale(F, F0)
+            print(f"a={a}, twist={twist.format(explicit_exponents=True)}")
+        else:  # jacobian
+            g, n, d = args.genus, args.rank, args.degree
+            if g < 1 or n < 1:
+                print("thetadim factor jacobian: error: genus and rank must be >= 1",
+                      file=sys.stderr)
+                return EXIT_USAGE
+            _, d_F = complementary_invariants(g, n, d, 1)
+            L = FormalLineClass.symbol("L", degree=d)
+            detF = FormalLineClass.symbol("detF", degree=d_F)
+            exponent, equation = jacobian_pullback(g, n, d, L, detF)
+            print(f"exponent {exponent}, constraint {equation}, "
+                  f"degree check {n * (g - 1)} = {equation.rhs.degree}")
     except ValueError as exc:  # a rank below 1, rejected by the theta layer
         print(f"thetadim factor {args.subject}: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (NotAMultiple, NonIntegralExponent, DegreeMismatch) as exc:
         print(f"precondition violated: {exc}", file=sys.stderr)
         return EXIT_UNSUPPORTED
-
-
-def _factor(args) -> int:
-    if args.subject == "pullback":
-        if not _require(args, ["n1", "d1", "n2", "rkF"]):
-            return EXIT_USAGE
-        F = ThetaDescriptor(args.rkF, FormalLineClass.symbol("detF"))
-        L1 = FormalLineClass.symbol("L1", degree=args.d1)
-        fact = pullback_split(args.n1, args.d1, args.n2, F, L1)
-        det = fact.right_descriptor.det.format(explicit_exponents=True)
-        print(f"theta^{fact.left_exponent} [x] theta{{rank={fact.right_descriptor.rank}, det={det}}}")
-    elif args.subject == "rescale":
-        if not _require(args, ["rkF", "rkF0"]):
-            return EXIT_USAGE
-        F = ThetaDescriptor(args.rkF, FormalLineClass.symbol("detF"))
-        F0 = ThetaDescriptor(args.rkF0, FormalLineClass.symbol("detF0"))
-        a, twist = theta_rescale(F, F0)
-        print(f"a={a}, twist={twist.format(explicit_exponents=True)}")
-    else:  # jacobian
-        if not _require(args, ["genus", "rank", "degree"]):
-            return EXIT_USAGE
-        g, n, d = args.genus, args.rank, args.degree
-        if g < 1 or n < 1:
-            print("thetadim factor jacobian: error: genus and rank must be >= 1", file=sys.stderr)
-            return EXIT_USAGE
-        _, d_F = complementary_invariants(g, n, d, 1)
-        L = FormalLineClass.symbol("L", degree=d)
-        detF = FormalLineClass.symbol("detF", degree=d_F)
-        exponent, equation = jacobian_pullback(g, n, d, L, detF)
-        print(
-            f"exponent {exponent}, constraint {equation}, "
-            f"degree check {n * (g - 1)} = {equation.rhs.degree}"
-        )
     return EXIT_OK
 
+
+# The options each `factor` subject needs, in the order a usage error names
+# them; `_cmd_factor` reports every one that is missing.
+_FACTOR_FLAGS = {
+    "pullback": ("n1", "d1", "n2", "rkF"),
+    "rescale": ("rkF", "rkF0"),
+    "jacobian": ("genus", "rank", "degree"),
+}
 
 # Every subcommand's summary, handler and arguments, each argument as the
 # flags and keywords of `ArgumentParser.add_argument`, long flag first.
@@ -332,7 +327,7 @@ _COMMANDS = {
         (("--format",), {"choices": ("csv", "json", "md"), "default": "csv"}),
     )),
     "factor": ("symbolic theta-bundle factorizations", _cmd_factor, (
-        (("subject",), {"choices": ("pullback", "rescale", "jacobian")}),
+        (("subject",), {"choices": tuple(_FACTOR_FLAGS)}),
         (("--n1",), {"type": int}),
         (("--d1",), {"type": int}),
         (("--n2",), {"type": int}),

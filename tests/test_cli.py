@@ -3,6 +3,7 @@
 import ast
 import contextlib
 import io
+import itertools
 import json
 import os
 import re
@@ -598,6 +599,32 @@ class TestPublicSurface:
                     used.add(node.attr)
         assert sorted(set(thetadim.__all__) - used) == []
 
+    def test_every_public_member_of_an_exported_class_has_a_caller(self):
+        # a method or property is called where an attribute of its name is
+        # loaded in the package outside the body of the class defining it
+        package = Path(thetadim.__file__).parent
+        trees = [ast.parse(path.read_text()) for path in package.glob("*.py")]
+        orphans = []
+        for tree in trees:
+            for cls in ast.walk(tree):
+                if not isinstance(cls, ast.ClassDef) or cls.name not in thetadim.__all__:
+                    continue
+                inside = {id(node) for node in ast.walk(cls)}
+                loaded = {
+                    node.attr
+                    for other in trees
+                    for node in ast.walk(other)
+                    if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+                    and id(node) not in inside
+                }
+                orphans += [
+                    f"{cls.name}.{member.name}"
+                    for member in cls.body
+                    if isinstance(member, ast.FunctionDef) and not member.name.startswith("_")
+                    and member.name not in loaded
+                ]
+        assert orphans == []
+
 
 class TestGolden:
     def test_every_golden_argv_replays_byte_identical(self, capsys):
@@ -649,10 +676,38 @@ class TestFactor:
         assert out == ""
         assert err.startswith(f"thetadim factor {argv[0]}: error: ")
 
-    def test_missing_flags_usage_error(self, capsys):
-        code, _, err = run_cli(capsys, "factor", "pullback", "--n1", "2")
-        assert code == EXIT_USAGE
-        assert "--d1" in err and "--n2" in err
+    @pytest.mark.parametrize(
+        "subject, needed",
+        [
+            ("pullback", ("n1", "d1", "n2", "rkF")),
+            ("rescale", ("rkF", "rkF0")),
+            ("jacobian", ("genus", "rank", "degree")),
+        ],
+        ids=["pullback", "rescale", "jacobian"],
+    )
+    def test_missing_flags_usage_error(self, capsys, subject, needed):
+        # every subset of the flags a subject needs, each missing one named
+        # in the declared order
+        values = {"n1": "2", "d1": "0", "n2": "3", "rkF": "1", "rkF0": "1",
+                  "genus": "2", "rank": "2", "degree": "0"}
+        for omitted in range(len(needed) + 1):
+            for missing in itertools.combinations(needed, omitted):
+                argv = [token for flag in needed if flag not in missing
+                        for token in (f"--{flag}", values[flag])]
+                code, out, err = run_cli(capsys, "factor", subject, *argv)
+                if not missing:
+                    assert code == EXIT_OK and err == ""
+                    continue
+                assert (code, out) == (EXIT_USAGE, "")
+                named = " ".join(f"--{flag}" for flag in missing)
+                assert err == f"thetadim factor {subject}: error: missing {named}\n"
+
+    def test_flag_table_names_only_factor_options(self):
+        _, _, arguments = cli._COMMANDS["factor"]
+        options = {flag for flags, _ in arguments for flag in flags}
+        needed = {flag for flags in cli._FACTOR_FLAGS.values() for flag in flags}
+        assert {f"--{flag}" for flag in needed} <= options
+        assert arguments[0] == (("subject",), {"choices": tuple(cli._FACTOR_FLAGS)})
 
 
 class TestUsage:
