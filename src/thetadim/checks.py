@@ -84,16 +84,17 @@ class CheckReport(
     namedtuple(
         "CheckReport",
         "check_name instances_run failures skipped_unsupported note uncertified",
-        defaults=((), 0, "", 0),
+        defaults=((), 0, "", ()),
     )
 ):
     """Outcome of one identity check or of a whole grid sweep.
 
     `instances_run` counts the instances compared; the skipped
-    (unsupported) and the uncertified (past the precision cap) ones are
-    counted apart.  A report that ran no instance has not passed: its
-    status is "empty".  Nor has one with an uncertified instance: with no
-    failure, its status is "uncertified".
+    (unsupported) ones are counted apart, and `uncertified` holds the
+    sorted (g, n, d, k) inputs of the instances whose sum missed the width
+    target at the precision cap.  A report that ran no instance has not
+    passed: its status is "empty".  Nor has one with an uncertified
+    instance: with no failure, its status is "uncertified".
     """
 
     __slots__ = ()
@@ -113,7 +114,7 @@ class CheckReport(
             "skipped_unsupported": self.skipped_unsupported,
         }
         if self.uncertified:
-            payload["uncertified"] = self.uncertified
+            payload["uncertified"] = [list(inputs) for inputs in self.uncertified]
         payload["failures"] = [
             {"input": list(f.inputs), "lhs": f.lhs, "rhs": f.rhs} for f in self.failures
         ]
@@ -242,15 +243,16 @@ def grid_sweep(
 ) -> CheckReport:
     """Run one named check on every valid tuple inside the bounds.
 
-    Unsupported instances are skipped and counted separately, and so are
-    uncertified ones, whose sum raises CertificationError at the precision
-    cap.  An instance whose proof breaks, by NoIntegerInInterval or
-    IntegralityViolation, is a failure whose left side is
-    "<exception name>: <message>" and whose right side is empty.  With
-    `negative_control` the right-hand side of every comparison is
-    deliberately perturbed, so failures are expected: this exercises the
-    failure-reporting path itself.  Failures are listed in (g, n, d, k)
-    order, whatever the order of evaluation.
+    Unsupported instances are skipped and counted separately; uncertified
+    ones, whose sum raises CertificationError at the precision cap, are set
+    apart too, and the report lists their inputs.  An instance whose proof
+    breaks, by NoIntegerInInterval or IntegralityViolation, is a failure
+    whose left side is "<exception name>: <message>" and whose right side
+    is empty.  With `negative_control` the right-hand side of every
+    comparison is deliberately perturbed, so failures are expected: this
+    exercises the failure-reporting path itself.  Failures and uncertified
+    inputs are listed in (g, n, d, k) order, whatever the order of
+    evaluation.
     """
     if check not in _CHECKS:
         raise ValueError(f"unknown check {check!r}; expected one of {CHECK_NAMES}")
@@ -263,8 +265,8 @@ def grid_sweep(
         genera(bounds),
         degrees(bounds),
     )
-    instances = skipped = uncertified = 0
-    failures = []
+    instances = skipped = 0
+    failures, uncertified = [], []
     for n, k, g, d in grid:
         try:
             failure = _compare(check, (g, n, d, k), max_precision_bits, negative_control)
@@ -272,7 +274,7 @@ def grid_sweep(
             skipped += 1
             continue
         except CertificationError:
-            uncertified += 1
+            uncertified.append((g, n, d, k))
             continue
         except (NoIntegerInInterval, IntegralityViolation) as exc:
             failure = CheckFailure((g, n, d, k), f"{type(exc).__name__}: {exc}", "")
@@ -285,7 +287,8 @@ def grid_sweep(
         name += " [negative-control]"
         note = (note + "; " if note else "") + "right-hand sides deliberately perturbed"
     # the inputs are distinct, so failures sort by them alone
-    return CheckReport(name, instances, tuple(sorted(failures)), skipped, note, uncertified)
+    failures, uncertified = tuple(sorted(failures)), tuple(sorted(uncertified))
+    return CheckReport(name, instances, failures, skipped, note, uncertified)
 
 
 def _perturb(rhs):

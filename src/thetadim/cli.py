@@ -35,11 +35,11 @@ scale and shift, lies beyond twice the cap and 128 bits fails before it
 is evaluated or any power of the scale is formed, and the message then
 reads "estimated width"; one whose estimate lies between the cap and twice
 the cap is evaluated at the cap before it fails, so `dim sl -g 2000 -n 5
--d 0 -k 5` exits 3 after 1.0-1.3 s on a 2-CPU VM with "width 2**13850.2
-exceeds target 1/4 at the precision cap (16384 bits)"; a check sweep
-with no failure but an instance that missed the target at the cap prints
-its report, which counts such instances as uncertified, and exits 3 with
-status UNCERTIFIED), 64 usage error (including an unknown check name, a
+-d 0 -k 5` exits 3 with "width 2**13850.2 exceeds target 1/4 at the
+precision cap (16384 bits)"; a check sweep with no failure but an
+instance that missed the target at the cap prints its report, which
+names such instances as uncertified, and exits 3 with status
+UNCERTIFIED), 64 usage error (including an unknown check name, a
 `--max-precision-bits` below 1 and `factor` ranks below 1).  The
 `thetadim` entry point (`run`) restores the default SIGPIPE disposition
 where the platform has one, so a reader that closes stdout early
@@ -156,7 +156,7 @@ def _render_report_text(report) -> str:
     lines = [
         f"check {report.check_name}: {report.instances_run} instances, "
         f"{report.skipped_unsupported} skipped (unsupported), "
-        + (f"{report.uncertified} uncertified, " if report.uncertified else "")
+        + (f"{len(report.uncertified)} uncertified, " if report.uncertified else "")
         + f"{len(report.failures)} failures: {report.status.upper()}"
     ]
     for failure in report.failures:

@@ -2,13 +2,15 @@
 
 The kernel encloses sums of the shape
 
-    sum_i  coeff_i * (scale * 2**-shift * prod_j  f(m_ij / M_i)^e_ij)**power
+    sum_i  coeff_i * (scale * 2**-shift * prod_j  f(m_ij / M)^e_ij)**power
 
-between dyadic bounds, with integer coefficients, an integer scale, a
-binary shift and one common exponent `power`, where every factor of a term
-is of one kind: f(t) = |2 sin(pi t)| (`SineProductTerm`) or
-f(t) = csc^2(pi t) (`CosecantSquaredTerm`).  Only `power` varies with
-the genus, so one table of terms and one scale serve every power.  The
+between dyadic bounds, with positive integer multiplicities coeff_i, a
+positive integer scale, a binary shift and one common exponent `power`,
+where every factor of every term is of one kind over one modulus M:
+f(t) = |2 sin(pi t)| (`SineProductTerm`) or f(t) = csc^2(pi t)
+(`CosecantSquaredTerm`).  `evaluate_sum` refuses any other sum, so every
+bound the kernel multiplies is nonnegative.  Only `power` varies with the
+genus, so one table of terms and one scale serve every power.  The
 enclosures of pi and of the sine values come from alternating series with
 explicit tail bounds, evaluated in fixed-point integer arithmetic with
 directed rounding, so the bounds are mathematically rigorous.  Each series
@@ -22,29 +24,30 @@ contains exactly one integer is then a proof of that integer value
 
 The sum kernel (`evaluate_sum`) keeps one numeric representation: integer
 lower and upper bounds at a single fixed-point scale 2**-w, with w the
-precision plus guard bits.  Every multiply, power and reciprocal is
-floored on the lower bound and ceiled on the upper one, in the manner of
-Arb's dyadic arithmetic (Johansson, "Arb: efficient arbitrary-precision
-midpoint-radius interval arithmetic", IEEE Trans. Computers, 2017).  The
-sine enclosures are integer bounds at that scale too, so they enter as
-they are; a csc^2 factor is 4 / x^2 of the sine enclosure x, rounded
-outward at the same scale.  None of these depends on the genus, so each
-sine and each csc^2 base is enclosed once per process and rung, and each
-base's float estimate (see below) once per process, in caches beside the
-pi bounds; only the powers, which the genus scales, are computed per
-evaluation, each distinct one once.  A csc^2 factor is >= 1, so its
-rounding errors stay relative to the term, while a sine below 1 carries an
-absolute one.  The precision is a rung of the ladder 64 * 2**j, and the
-first rung is chosen a priori from a float estimate of the magnitudes and
-rounding count involved, so a sum is normally certified in one precision
-step; doubling remains as the fallback, up to a hard cap, and an estimate
-far beyond the cap fails before any enclosure, or any power of the scale,
-is computed.  Floats only choose the rung, never an endpoint.  The integer
-coefficients and scale**power multiply the bounds exactly, and power *
-shift only moves the scale, so the result is the dyadic interval
-[lo, hi] / 2**(w + power * shift) (`CertifiedInterval`), the target width
-is 2**-target_bits, and `certify_integer` decides with integer shifts.
-Nothing here builds a Fraction.
+precision plus guard bits.  Every multiply, power and reciprocal is of
+nonnegative bounds and is floored on the lower bound and ceiled on the
+upper one, in the manner of Arb's dyadic arithmetic (Johansson, "Arb:
+efficient arbitrary-precision midpoint-radius interval arithmetic", IEEE
+Trans. Computers, 2017); with no sign in play, that is the whole rounding
+argument.  The sine enclosures are integer bounds at that scale too, so
+they enter as they are; a csc^2 factor is 4 / x^2 of the sine enclosure x,
+rounded outward at the same scale.  None of these depends on the genus, so
+each sine, and each csc^2 base above it, is enclosed once per process and
+rung, and each base's float estimate (see below) once per process, in
+caches beside the pi bounds; only the powers, which the genus scales, are
+computed per evaluation, each distinct one once.  A csc^2 factor is >= 1,
+so its rounding errors stay relative to the term, while a sine below 1
+carries an absolute one.  The precision is a rung of the ladder 64 * 2**j,
+and the first rung is chosen a priori from a float estimate of the
+magnitudes and rounding count involved, so a sum is normally certified in
+one precision step; doubling remains as the fallback, up to a hard cap,
+and an estimate far beyond the cap fails before any enclosure, or any
+power of the scale, is computed.  Floats only choose the rung, never an
+endpoint.  The multiplicities and scale**power multiply the bounds
+exactly, and power * shift only moves the scale, so the result is the
+dyadic interval [lo, hi] / 2**(w + power * shift) (`CertifiedInterval`),
+the target width is 2**-target_bits, and `certify_integer` decides with
+integer shifts.  Nothing here builds a Fraction.
 
 Everything here is a pure function of its inputs; the caches are
 idempotent write-once tables, so concurrent use is safe.
@@ -345,6 +348,7 @@ def _cap_error(width: str, target_bits: int, cap: int) -> CertificationError:
 
 def _first_rung(
     prepared: Sequence[tuple[int, _FactorTerm]],
+    cosecant: bool,
     power: int,
     scale: int,
     shift: int,
@@ -354,25 +358,24 @@ def _first_rung(
     """The first rung of the ladder 64 * 2**j (capped at max_bits)
     whose working scale is expected to meet the width target 2**-target_bits.
 
-    At scale 2**-w a term's error is about 2**-w times its rounding count,
-    amplified by the factors above 1, by |coeff| and by the scale's
-    2**(power * (log2|scale| - shift)).  A factor's base enclosure adds its
-    relative error once per unit of exponent, its exponent times `power`.
-    Factors below 1, which only sine products have, carry an absolute error
-    and are counted as 1.  The estimate is this first-order count of the
-    kernel's roundings and nothing more: floats only choose the rung, the
-    enclosure stays rigorous, and the ladder doubles if the count falls
-    short.  An estimate beyond twice the cap, and beyond 128 bits, misses
-    the cap by far more than a first-order count can be off, so it raises
-    CertificationError before any pi, sine, product or power of the scale
-    is computed, with the estimated width at the cap in its message.
+    The sum is one that `evaluate_sum` accepts, its terms of the kind
+    `cosecant` names.  At scale 2**-w a term's error is about 2**-w times
+    its rounding count, amplified by the factors above 1, by its
+    multiplicity and by the scale's 2**(power * (log2(scale) - shift)).
+    A factor's base enclosure adds its relative error once per unit of
+    exponent, its exponent times `power`.  Factors below 1, which only sine
+    products have, carry an absolute error and are counted as 1.  The
+    estimate is this first-order count of the kernel's roundings and nothing
+    more: floats only choose the rung, the enclosure stays rigorous, and the
+    ladder doubles if the count falls short.  An estimate beyond twice the
+    cap, and beyond 128 bits, misses the cap by far more than a first-order
+    count can be off, so it raises CertificationError before any pi, sine,
+    product or power of the scale is computed, with the estimated width at
+    the cap in its message.
     """
     bounds = []
     for coeff, term in prepared:
-        if not coeff:
-            continue
-        cosecant = isinstance(term, CosecantSquaredTerm)
-        log_size, roundings = math.log2(abs(coeff)), 2.0
+        log_size, roundings = math.log2(coeff), 2.0
         for m, e in term.factors:
             e *= power
             log_base, error_units = _base_estimate(cosecant, term.modulus, m)
@@ -380,10 +383,10 @@ def _first_rung(
             roundings += e * error_units + 2 * e.bit_length() + 2
         bounds.append(log_size + math.log2(roundings))
     needed = 0.0
-    if bounds and scale:
+    if bounds:
         top = max(bounds)
         error_log2 = top + math.log2(sum(2.0 ** (b - top) for b in bounds))
-        scale_log2 = power * (math.log2(abs(scale)) - shift)
+        scale_log2 = power * (math.log2(scale) - shift)
         needed = error_log2 + scale_log2 + target_bits - _GUARD_BITS
     if needed > max(2 * max_bits, 128):
         width_log2 = needed - target_bits - max_bits
@@ -395,48 +398,43 @@ def _first_rung(
 
 
 @lru_cache(maxsize=None)
-def _base_scaled(cosecant: bool, modulus: int, m: int, precision: int) -> tuple[int, int]:
-    """Bounds on a factor's base at the working scale 2**-w of `precision`:
-    the sine enclosure x of 2 sin(pi m / M) as it is, or csc^2(pi m / M) =
-    4 / x^2, floored from x's upper bound and ceiled from its lower one.
-    Like the sine, each (kind, M, m, rung) is enclosed once per process."""
+def _base_scaled(m: int, modulus: int, precision: int) -> tuple[int, int]:
+    """Bounds on csc^2(pi m / M) = 4 / x^2 at the working scale 2**-w of
+    `precision`, from the sine enclosure x of 2 sin(pi m / M): floored from
+    x's upper bound and ceiled from its lower one, both positive.  Its
+    arguments are those of `sin_enclosure`, which is a sine product's base
+    as it is; like the sine, each (M, m, rung) is enclosed once per process."""
     lo, hi = sin_enclosure(m, modulus, precision)
-    if not cosecant:
-        return lo, hi
     numerator = 1 << (3 * (precision + _GUARD_BITS) + 2)
     return numerator // (hi * hi), -(-numerator // (lo * lo))
 
 
 def _sum_scaled(
-    prepared: Sequence[tuple[int, _FactorTerm]], power: int, precision: int
+    prepared: Sequence[tuple[int, _FactorTerm]], cosecant: bool, power: int, precision: int
 ) -> tuple[int, int, int]:
     """Bounds (lo, hi, w) with sum(coeff * term**power) in [lo, hi] / 2**w.
 
-    Each distinct base comes from the cached `_base_scaled`, and each
-    distinct power of it is computed once per call and shared by every term
-    that uses it; only the powers depend on `power`, hence on the genus.
-    The integer coefficients multiply a term's bounds exactly.
+    The sum is one that `evaluate_sum` accepts, its terms of the kind
+    `cosecant` names, so each base is the cached `_base_scaled` (csc^2) or
+    `sin_enclosure` (sine) of its offset over the one modulus, and every
+    bound is nonnegative.  Each distinct power of a base is computed once
+    per call and shared by every term that uses it; only the powers depend
+    on `power`, hence on the genus.  The positive multiplicities multiply a
+    term's bounds exactly.
     """
     work = precision + _GUARD_BITS
-    # (kind, modulus) -> {(offset, exponent): power}
-    powers: dict[tuple[bool, int], dict[tuple[int, int], tuple[int, int]]] = {}
+    base = _base_scaled if cosecant else sin_enclosure
+    powers: dict[tuple[int, int], tuple[int, int]] = {}  # (offset, exponent) -> power
     total_lo = total_hi = 0
     for coeff, term in prepared:
-        kind = (isinstance(term, CosecantSquaredTerm), term.modulus)
-        table = powers.get(kind)
-        if table is None:
-            table = powers[kind] = {}
         lo = hi = 1 << work
         for factor in term.factors:
-            bound = table.get(factor)
+            bound = powers.get(factor)
             if bound is None:
-                m, e = factor
-                base = _base_scaled(*kind, m, precision)
-                bound = table[factor] = _power_scaled(*base, e * power, work)
+                enclosure = base(factor[0], term.modulus, precision)
+                bound = powers[factor] = _power_scaled(*enclosure, factor[1] * power, work)
             lo = (lo * bound[0]) >> work
             hi = -((-hi * bound[1]) >> work)
-        if coeff < 0:
-            lo, hi = hi, lo
         total_lo += coeff * lo
         total_hi += coeff * hi
     return total_lo, total_hi, work
@@ -454,8 +452,11 @@ def evaluate_sum(
     """Enclose  sum(coeff * (scale * 2**-shift * value(term))**power)  to
     within 2**-target_bits.
 
-    Terms, coefficients and the scale (ints of either sign) are built once
-    for every power; 0 makes the product 1.  The first precision is the
+    The sum must be positive integer multiplicities of terms of one kind,
+    all `CosecantSquaredTerm` or all `SineProductTerm`, over one modulus,
+    at a positive integer scale; anything else raises ValueError before any
+    estimate or enclosure.  Terms, multiplicities and the scale are built
+    once for every power; 0 makes the product 1.  The first precision is the
     rung of the ladder 64 * 2**j that an a priori estimate expects to meet
     the target (see `_first_rung`); only once it accepts a rung are
     scale**power, which multiplies the bounds exactly, and power * shift
@@ -473,12 +474,18 @@ def evaluate_sum(
     if max_bits < 1:
         raise ValueError("max_bits must be positive")
     prepared = tuple(terms)
+    kind = type(prepared[0][1]) if prepared else CosecantSquaredTerm
+    if scale < 1 or kind not in (CosecantSquaredTerm, SineProductTerm) or any(
+        c < 1 or type(t) is not kind or t.modulus != prepared[0][1].modulus for c, t in prepared
+    ):
+        raise ValueError("expected positive multiples of one term kind over one modulus, scale > 0")
+    cosecant = kind is CosecantSquaredTerm
 
-    precision = _first_rung(prepared, power, scale, shift, target_bits, max_bits)
+    precision = _first_rung(prepared, cosecant, power, scale, shift, target_bits, max_bits)
     scale, shift = scale**power, shift * power
     while True:
-        lo, hi, work = _sum_scaled(prepared, power, precision)
-        lo, hi = (lo * scale, hi * scale) if scale >= 0 else (hi * scale, lo * scale)
+        lo, hi, work = _sum_scaled(prepared, cosecant, power, precision)
+        lo, hi = lo * scale, hi * scale
         bits = work + shift
         # the width (hi - lo) / 2**bits meets 2**-target_bits when hi - lo is
         # at most 2**room, which below 2**0 only 0 is

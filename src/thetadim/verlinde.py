@@ -45,14 +45,16 @@ MAX_SUM_TERMS = 100_000
 
 #: Largest enumeration work that `reduced_sum_terms` accepts:
 #: C(n+k-1, n-1) subsets times, for each, its C(n, 2) pair updates plus the
-#: floor((n+k)/2) + 1 entries of a dense pair-offset profile.  The
-#: prefix-shared walk of `reduced_sum_terms` does less than this, since a
-#: prefix's pairs are added once for all its subsets and a profile is one
-#: packed integer, so the bound is kept as a conservative count of the
-#: walk.
+#: floor((n+k)/2) + 1 digits of a packed pair-offset profile: every step,
+#: pending entry and key of the walk is an integer of up to floor(M/2)
+#: digits, each `width` bits wide, so each packed addition, and each
+#: integer held, costs that many digits.  The prefix-shared walk of
+#: `reduced_sum_terms` adds a prefix's pairs once for all its subsets, so
+#: the bound is kept as a conservative count of the walk.
 #: Beyond it the table is refused as unsupported before any term is built.
 #: The pairs grow like n^3 at level 1, where the subset count alone is only
-#: n; the profile entries grow like k^2 at rank 2, where there is one pair.
+#: n; the digits grow like k^2 at rank 2, where there is one pair, and so
+#: does the memory of the walk's pending list of M - 1 packed integers.
 MAX_PAIR_UPDATES = 50_000_000
 
 # The enclosure width 2**-_CERTIFY_BITS at which a sum is certified: 1/4,

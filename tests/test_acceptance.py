@@ -222,7 +222,8 @@ def _certify_at_first_rung(terms, power, scale, shift):
     """(certified integer, rung) of a sum at the target 1/4, asserting the
     a priori rung needed no doubling."""
     enclosure = evaluate_sum(terms, power, scale, shift, 2)
-    first = _first_rung(tuple(terms), power, scale, shift, 2, DEFAULT_MAX_PRECISION_BITS)
+    cosecant = type(terms[0][1]) is CosecantSquaredTerm
+    first = _first_rung(tuple(terms), cosecant, power, scale, shift, 2, DEFAULT_MAX_PRECISION_BITS)
     assert enclosure.precision_bits == first
     return certify_integer(enclosure), first
 

@@ -246,22 +246,27 @@ class TestReportInvariants:
 
 
 class TestUncertified:
-    """An instance past the precision cap is counted, and the sweep goes on."""
+    """An instance past the precision cap is named, and the sweep goes on."""
 
     @pytest.mark.parametrize("name", ["theorem1", "bott-szenes"])
     def test_sweep_past_the_cap_finishes(self, name):
         report = grid_sweep(name, GridBounds(3, 3, 2, 40, 3), max_precision_bits=64)
-        assert report.uncertified > 0 and report.instances_run > 0
+        assert report.uncertified and report.instances_run > 0
+        # the (g, n, d, k) inputs, distinct and sorted, inside the grid
+        assert report.uncertified == tuple(sorted(set(report.uncertified)))
+        for g, n, d, k in report.uncertified:
+            assert 2 <= g <= 40 and 2 <= n <= 3 and 1 <= k <= 3 and d % n == 0
         assert report.failures == ()
         assert report.status == "uncertified"
 
     def test_status_order(self):
         # a failure outranks an uncertified instance, which outranks empty
         failure = CheckFailure((2, 1, 0, 1), "1", "2")
-        assert CheckReport("x", 3, (failure,), uncertified=1).status == "fail"
-        assert CheckReport("x", 3, uncertified=1).status == "uncertified"
-        assert CheckReport("x", 0, uncertified=1).status == "uncertified"
-        assert CheckReport("x", 3).uncertified == 0
+        uncertified = ((40, 3, 0, 3),)
+        assert CheckReport("x", 3, (failure,), uncertified=uncertified).status == "fail"
+        assert CheckReport("x", 3, uncertified=uncertified).status == "uncertified"
+        assert CheckReport("x", 0, uncertified=uncertified).status == "uncertified"
+        assert CheckReport("x", 3).uncertified == ()
 
 
 class TestMutantMatrix:

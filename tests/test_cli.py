@@ -12,6 +12,7 @@ import signal
 import subprocess
 import sys
 import time
+import tokenize
 from pathlib import Path
 
 import pytest
@@ -274,12 +275,16 @@ class TestCheck:
         code, out, err = run_cli(capsys, *argv)
         assert code == EXIT_CERTIFICATION and err == ""
         assert out.startswith(f"check {name}: ")
-        assert re.search(r"skipped \(unsupported\), [1-9]\d* uncertified, 0 failures: "
-                         r"UNCERTIFIED$", out.splitlines()[0])
+        counted = re.search(r"skipped \(unsupported\), ([1-9]\d*) uncertified, 0 failures: "
+                            r"UNCERTIFIED$", out.splitlines()[0])
+        assert counted
         code, out, _ = run_cli(capsys, *argv, "--format", "json")
         payload = json.loads(out)
         assert code == EXIT_CERTIFICATION
-        assert payload["uncertified"] > 0 and payload["failures"] == []
+        # the JSON names each uncertified instance, in (g, n, d, k) order
+        inputs = payload["uncertified"]
+        assert len(inputs) == int(counted.group(1)) and payload["failures"] == []
+        assert inputs == sorted(inputs) and all(len(i) == 4 and 2 <= i[0] <= 40 for i in inputs)
         assert list(payload) == ["check", "instances_run", "skipped_unsupported",
                                  "uncertified", "failures"]
 
@@ -390,9 +395,11 @@ class TestWorkBound:
 
     def test_rank_two_profile_copies_fail_fast(self):
         # 100,000 subsets of one pair each pass both the subset bound and a
-        # pair count, but the work bound also counts a 50,001-entry profile
-        # per subset.  The address-space limit turns a regression into a
-        # MemoryError in the child instead of an unbounded walk.
+        # pair count, but the work bound also counts the 50,001 digits of
+        # each subset's packed profile key: the walk's pending list holds
+        # 100,000 such integers, memory quadratic in M.  The address-space
+        # limit turns a regression into a MemoryError in the child instead
+        # of an unbounded walk.
         def limit_memory():
             resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
 
@@ -624,6 +631,33 @@ class TestPublicSurface:
                     and member.name not in loaded
                 ]
         assert orphans == []
+
+    def test_readme_library_tour_runs(self):
+        # the python block under "## Library quick tour" runs statement by
+        # statement, and each `# <value>` comment is the repr of the
+        # expression it annotates: the one on its line, or, for a comment
+        # on a line of its own, the one on the line above
+        readme = (ROOT / "README.md").read_text()
+        tour = readme.split("## Library quick tour", 1)[1]
+        code = tour.split("```python\n", 1)[1].split("```", 1)[0]
+        comments = {
+            token.start[0]: token.string[1:].strip()
+            for token in tokenize.generate_tokens(io.StringIO(code).readline)
+            if token.type == tokenize.COMMENT
+        }
+        namespace, checked = {}, set()
+        for statement in ast.parse(code).body:
+            if not isinstance(statement, ast.Expr):
+                exec(compile(ast.Module([statement], []), "README.md", "exec"), namespace)
+                continue
+            value = eval(compile(ast.Expression(statement.value), "README.md", "eval"), namespace)
+            line = statement.end_lineno
+            if line not in comments:
+                line += 1
+            assert line in comments, ast.unparse(statement)
+            assert repr(value) == comments[line], ast.unparse(statement)
+            checked.add(line)
+        assert checked == set(comments) and len(checked) == 6
 
 
 class TestGolden:

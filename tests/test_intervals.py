@@ -49,16 +49,13 @@ def _sine(m, modulus, bits):
 
 
 @st.composite
-def _signed_terms(draw):
-    """A modulus M and one to four (coeff, kind, factors) over M."""
+def _one_kind_terms(draw):
+    """A modulus M, one term kind, and one to four (multiplicity, factors) over M."""
     modulus = draw(st.integers(2, 12))
+    kind = draw(st.sampled_from([SineProductTerm, CosecantSquaredTerm]))
     factor = st.tuples(st.integers(1, modulus - 1), st.integers(0, 4))
-    term = st.tuples(
-        st.integers(-6, 6),
-        st.sampled_from([SineProductTerm, CosecantSquaredTerm]),
-        st.lists(factor, max_size=3),
-    )
-    return modulus, draw(st.lists(term, min_size=1, max_size=4))
+    term = st.tuples(st.integers(1, 6), st.lists(factor, max_size=3))
+    return modulus, kind, draw(st.lists(term, min_size=1, max_size=4))
 
 
 def _value(iv):
@@ -220,13 +217,28 @@ class TestEvaluateSum:
         # at the power 2 each term is 9, and the scale 2 * 2**-1 is 1
         assert certify_integer(evaluate_sum(terms, 2, 2, 1, 2)) == 27
 
-    def test_negative_coefficients_and_scale(self):
-        term = SineProductTerm(6, ((1, 2),))  # |2 sin(pi/6)|^2 = 1
-        iv = evaluate_sum([(-3, term)], 1, -2, 0, 2)
-        assert certify_integer(iv) == 6
-        # the scale -4 * 2**-1 is the same -2
-        iv = evaluate_sum([(-3, term)], 1, -4, 1, 2)
-        assert certify_integer(iv) == 6
+    @pytest.mark.parametrize(
+        "terms,scale",
+        [
+            ([(0, SineProductTerm(6, ((1, 2),)))], 1),
+            ([(-3, SineProductTerm(6, ((1, 2),)))], 1),
+            ([(3, SineProductTerm(6, ((1, 2),)))], 0),
+            ([(3, SineProductTerm(6, ((1, 2),)))], -2),
+            ([(1, CosecantSquaredTerm(6, ((1, 1),))), (1, SineProductTerm(6, ((2, 1),)))], 1),
+            ([(1, CosecantSquaredTerm(6, ((1, 1),))), (1, CosecantSquaredTerm(7, ((1, 1),)))], 1),
+        ],
+        ids=["zero", "negative", "scale-0", "scale-negative", "mixed-kinds", "two-moduli"],
+    )
+    def test_rejects_sums_outside_the_contract(self, monkeypatch, terms, scale):
+        # positive multiplicities of one kind over one modulus at a positive
+        # scale, or a ValueError before any sine is enclosed
+        def no_sine(*args):
+            pytest.fail("a sine was enclosed before the sum was checked")
+
+        monkeypatch.setattr(intervals, "sin_enclosure", no_sine)
+        _base_scaled.cache_clear()
+        with pytest.raises(ValueError, match="positive multiples of one term kind"):
+            evaluate_sum(terms, 1, scale, 0, 2)
 
     def test_rejects_negative_power_or_shift(self):
         with pytest.raises(ValueError, match="power must be nonnegative"):
@@ -252,22 +264,19 @@ class TestEvaluateSum:
             evaluate_sum([(1, CosecantSquaredTerm(3, ()))], 10**7, Scale(6), 2, 2)
 
     @given(
-        case=_signed_terms(),
-        scale=st.integers(-8, 8).filter(bool),
+        case=_one_kind_terms(),
+        scale=st.integers(1, 8),
         shift=st.integers(0, 6),
         power=st.integers(0, 3),
     )
-    # a negative scale at an even power: its power is positive
-    @example(
-        case=(5, [(3, CosecantSquaredTerm, [(1, 2)]), (-2, SineProductTerm, [(2, 1)])]),
-        scale=-3, shift=1, power=2,
-    )
+    # a scale 3 / 2**2 below 1, and a sine factor 2 sin(pi/7) below 1, at an even power
+    @example(case=(7, SineProductTerm, [(3, [(1, 2)]), (2, [(2, 1)])]), scale=3, shift=2, power=2)
     @settings(max_examples=60, deadline=None)
-    def test_signed_sums_contain_oracle(self, case, scale, shift, power):
-        modulus, drawn = case
-        terms = [(coeff, kind(modulus, tuple(factors))) for coeff, kind, factors in drawn]
+    def test_one_kind_sums_contain_oracle(self, case, scale, shift, power):
+        modulus, kind, drawn = case
+        terms = [(coeff, kind(modulus, tuple(factors))) for coeff, factors in drawn]
         oracle = Fraction(0)
-        for coeff, kind, factors in drawn:
+        for coeff, factors in drawn:
             value = Fraction(coeff)
             for m, e in factors:
                 x = two_sin_fraction(m, modulus, dps=120)
@@ -282,7 +291,7 @@ class TestEvaluateSum:
     def test_cold_sum_encloses_sines_only_at_its_rung(self, monkeypatch):
         term = SineProductTerm(7, ((1, 1), (2, 1), (3, 1)))  # sqrt(7)
         target = 200
-        assert _first_rung([(1, term)], 1, 1, 0, target, 16384) == 256
+        assert _first_rung([(1, term)], False, 1, 1, 0, target, 16384) == 256
         original = intervals.sin_enclosure
         requested = []
 
@@ -290,8 +299,7 @@ class TestEvaluateSum:
             requested.append(precision_bits)
             return original(m, modulus, precision_bits)
 
-        # the bases are cached above the sines, so both start cold
-        _base_scaled.cache_clear()
+        # a sine product's bases are the sines themselves, so they start cold
         original.cache_clear()
         _pi_scaled.cache_clear()
         monkeypatch.setattr(intervals, "sin_enclosure", counting)
@@ -321,29 +329,28 @@ class TestEvaluateSum:
         _base_scaled.cache_clear()
         original.cache_clear()
         monkeypatch.setattr(intervals, "sin_enclosure", counting)
-        _sum_scaled(terms, 1, 64)
-        _sum_scaled(terms, 1, 128)
+        _sum_scaled(terms, True, 1, 64)
+        _sum_scaled(terms, True, 1, 128)
         assert sorted(requested) == [(1, 64), (1, 128), (2, 64), (2, 128), (4, 64), (4, 128)]
         # another genus (power) at a rung already seen requests no sine
-        _sum_scaled(terms, 2, 64)
+        _sum_scaled(terms, True, 2, 64)
         assert len(requested) == 6
 
     def test_first_rung_estimates_each_base_once(self):
-        # two tables over the modulus 11 share the offsets 1 and 3; each
+        # three tables over the modulus 11 share the offsets 1 and 3; each
         # distinct (kind, M, m) is estimated once, whatever the power
         first = [
             (2, CosecantSquaredTerm(11, ((1, 2), (3, 1)))),
             (5, CosecantSquaredTerm(11, ((1, 1), (4, 3)))),
         ]
-        second = [
-            (1, CosecantSquaredTerm(11, ((3, 4), (5, 1)))),
-            (1, SineProductTerm(11, ((1, 1),))),
-        ]
+        second = [(1, CosecantSquaredTerm(11, ((3, 4), (5, 1))))]
+        third = [(1, SineProductTerm(11, ((1, 1),)))]
         _base_estimate.cache_clear()
-        rungs = [_first_rung(first, power, 1, 0, 2, 16384) for power in (1, 57)]
+        rungs = [_first_rung(first, True, power, 1, 0, 2, 16384) for power in (1, 57)]
         assert _base_estimate.cache_info().misses == 3
         assert rungs[0] < rungs[1]
-        _first_rung(second, 1, 1, 0, 2, 16384)
+        _first_rung(second, True, 1, 1, 0, 2, 16384)
+        _first_rung(third, False, 1, 1, 0, 2, 16384)
         # offset 5 is new, and offset 1 as a sine is a new kind
         assert _base_estimate.cache_info().misses == 5
 
@@ -354,7 +361,7 @@ class TestEvaluateSum:
             work = bits + _GUARD_BITS
             for modulus in range(2, 17):
                 for m in range(1, modulus):
-                    lo, hi = _base_scaled(True, modulus, m, bits)
+                    lo, hi = _base_scaled(m, modulus, bits)
                     assert 1 << work <= lo <= hi, (bits, modulus, m)
                     if 2 * m == modulus:
                         assert lo == hi == 1 << work
@@ -370,11 +377,12 @@ import sys
 from thetadim import beauville_sum, intervals as iv
 sums = [
     [(1, iv.CosecantSquaredTerm(8, ((1, 2), (4, 3)))), (3, iv.CosecantSquaredTerm(8, ()))],
-    [(-2, iv.SineProductTerm(7, ((1, 1), (2, 2), (3, 1))))],
+    [(2, iv.SineProductTerm(7, ((1, 1), (2, 2), (3, 1))))],
 ]
 for terms in sums:
+    cosecant = type(terms[0][1]) is iv.CosecantSquaredTerm
     for bits in (64, 256):
-        lo, hi, work = iv._sum_scaled(terms, 3, bits)
+        lo, hi, work = iv._sum_scaled(terms, cosecant, 3, bits)
         assert type(lo) is type(hi) is int and lo < hi
     result = iv.evaluate_sum(terms, 2, 5, 3, 2)
     assert all(type(x) is int for x in result)
@@ -390,6 +398,10 @@ try:
     iv.evaluate_sum([(1, iv.SineProductTerm(5, ((1, 1),)))], 1, 1 << 3000, 0, 2, max_bits=64)
 except iv.CertificationError:
     pass
+try:
+    iv.evaluate_sum([(0, iv.SineProductTerm(5, ((1, 1),)))], 1, 1, 0, 2)
+except ValueError:
+    pass
 assert beauville_sum(12, 5, 5).value > 0
 print(sorted(name for name in sys.modules if name in ("fractions", "decimal")))
 """
@@ -403,7 +415,7 @@ print(sorted(name for name in sys.modules if name in ("fractions", "decimal")))
         term = SineProductTerm(7, ((1, 1), (2, 1), (3, 1)))
         widths = []
         for bits in (64, 128, 256):
-            lo, hi, work = _sum_scaled([(1, term)], 1, bits)
+            lo, hi, work = _sum_scaled([(1, term)], False, 1, bits)
             widths.append(Fraction(hi - lo, 1 << work))
         assert widths[0] > widths[1] > widths[2]
 

@@ -37,10 +37,10 @@ RECORDS = [
      "CheckFailure(inputs=(2, 1, 0, 1), lhs='1', rhs='2')"),
     (CheckReport, dict(check_name="duality", instances_run=1,
                        failures=(CheckFailure((2, 1, 0, 1), "1", "2"),),
-                       skipped_unsupported=4, note="n", uncertified=2),
+                       skipped_unsupported=4, note="n", uncertified=((40, 2, 0, 3),)),
      "CheckReport(check_name='duality', instances_run=1, "
      "failures=(CheckFailure(inputs=(2, 1, 0, 1), lhs='1', rhs='2'),), "
-     "skipped_unsupported=4, note='n', uncertified=2)"),
+     "skipped_unsupported=4, note='n', uncertified=((40, 2, 0, 3),))"),
     (GridBounds, dict(max_rank=2, max_level=3, genus_min=1, genus_max=4, max_abs_degree=0),
      "GridBounds(max_rank=2, max_level=3, genus_min=1, genus_max=4, max_abs_degree=0)"),
 ]
@@ -124,6 +124,7 @@ def test_check_report_defaults():
     assert report.failures == ()
     assert report.skipped_unsupported == 0
     assert report.note == ""
+    assert report.uncertified == ()
     assert report == CheckReport(check_name="theorem1", instances_run=3)
     assert report.status == "pass"
 
