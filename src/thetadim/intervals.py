@@ -304,17 +304,23 @@ def _power_scaled(lo: int, hi: int, e: int, work_bits: int) -> tuple[int, int]:
 
     The exponent is nonnegative.  Every product is floored on the lower
     bound and ceiled on the upper one; with both bounds nonnegative that
-    keeps the enclosure rigorous.
+    keeps the enclosure rigorous.  The result starts at the square for the
+    exponent's lowest set bit, which is exactly what multiplying 1 by it
+    would give.
     """
-    result_lo = result_hi = 1 << work_bits
-    while e:
+    if not e:
+        return 1 << work_bits, 1 << work_bits
+    while not e & 1:
+        lo = (lo * lo) >> work_bits
+        hi = -((-hi * hi) >> work_bits)
+        e >>= 1
+    result_lo, result_hi = lo, hi
+    while e := e >> 1:
+        lo = (lo * lo) >> work_bits
+        hi = -((-hi * hi) >> work_bits)
         if e & 1:
             result_lo = (result_lo * lo) >> work_bits
             result_hi = -((-result_hi * hi) >> work_bits)
-        e >>= 1
-        if e:
-            lo = (lo * lo) >> work_bits
-            hi = -((-hi * hi) >> work_bits)
     return result_lo, result_hi
 
 
@@ -373,15 +379,17 @@ def _first_rung(
     product or power of the scale is computed, with the estimated width at
     the cap in its message.
     """
+    log2, estimate = math.log2, _base_estimate
     bounds = []
     for coeff, term in prepared:
-        log_size, roundings = math.log2(coeff), 2.0
+        log_size, roundings = log2(coeff), 2.0
         for m, e in term.factors:
             e *= power
-            log_base, error_units = _base_estimate(cosecant, term.modulus, m)
-            log_size += max(e * log_base, 0.0)
+            log_base, error_units = estimate(cosecant, term.modulus, m)
+            if log_base > 0:
+                log_size += e * log_base
             roundings += e * error_units + 2 * e.bit_length() + 2
-        bounds.append(log_size + math.log2(roundings))
+        bounds.append(log_size + log2(roundings))
     needed = 0.0
     if bounds:
         top = max(bounds)

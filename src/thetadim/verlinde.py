@@ -49,12 +49,13 @@ MAX_SUM_TERMS = 100_000
 #: pending entry and key of the walk is an integer of up to floor(M/2)
 #: digits, each `width` bits wide, so each packed addition, and each
 #: integer held, costs that many digits.  The prefix-shared walk of
-#: `reduced_sum_terms` adds a prefix's pairs once for all its subsets, so
-#: the bound is kept as a conservative count of the walk.
+#: `reduced_sum_terms` adds a prefix's pairs once for all its subsets, and
+#: visits only about half the subsets counted here (one of each reflection
+#: pair), so the bound is kept as a conservative count of the walk.
 #: Beyond it the table is refused as unsupported before any term is built.
 #: The pairs grow like n^3 at level 1, where the subset count alone is only
-#: n; the digits grow like k^2 at rank 2, where there is one pair, and so
-#: does the memory of the walk's pending list of M - 1 packed integers.
+#: n; the digits grow like k^2 at rank 2, where there is one pair, though
+#: rank 2 needs no walk: there the bound only keeps one rule for all ranks.
 MAX_PAIR_UPDATES = 50_000_000
 
 # The enclosure width 2**-_CERTIFY_BITS at which a sum is certified: 1/4,
@@ -162,15 +163,23 @@ def reduced_sum_terms(n: int, k: int) -> tuple[tuple[int, CosecantSquaredTerm], 
     genus-free like the table.  The profiles come from a walk
     over the subsets, one element at a time, in which each new element
     adds its pairs to its prefix's counts, so the pairs of a prefix are
-    counted once for all the subsets that share it.  The walk counts each
-    subset's profile where it completes the subset, in one dict from
-    profile to multiplicity, so the terms come in the lexicographic order
-    of each profile's first subset, and a build holds the distinct
-    profiles plus one pending list per level of the current path, never
-    one entry per subset.  Where every remaining candidate must join the
-    subset, they are a run of consecutive integers and the subset is
-    completed in one step, so at level 1 the walk does about n^2 packed
-    additions, not n^3.
+    counted once for all the subsets that share it.  The reflection
+    s -> M - s fixes M and keeps every pair offset, so the walk visits only
+    the subsets whose least and largest elements below M, a and b, have
+    a + b <= M: each candidate list ends at M - a, and a subset counts 2
+    when a + b < M, for itself and its unvisited reflection, and 1 when
+    a + b = M, where a reflection that is another subset is visited too.
+    A subset with a + b > M has a lexicographically smaller reflection, so
+    each profile's first subset is visited.  The walk counts each subset's
+    profile where it completes the subset, in one dict from profile to
+    multiplicity, so the terms come in the lexicographic order of each
+    profile's first subset, and a build holds the distinct profiles plus
+    one pending list per level of the current path, never one entry per
+    subset.  Where every remaining candidate must join the subset, they
+    are a run of consecutive integers and the subset is completed in one
+    step, so at level 1 the walk does about n^2 packed additions, not n^3.
+    Rank 2 needs no walk: {a, M} is one pair at offset a <= M/2, weight 2,
+    or 1 at a = M/2.
 
     At rank 1 the one subset {M} has no pairs, so the single empty term is
     returned at once, at any level, before either bound below is checked.
@@ -178,7 +187,7 @@ def reduced_sum_terms(n: int, k: int) -> tuple[tuple[int, CosecantSquaredTerm], 
     table of more than MAX_SUM_TERMS subsets, or of more than
     MAX_PAIR_UPDATES pair updates and profile entries, raises
     UnsupportedQuery before any term is built, and the walk's recursion
-    stays at most 463 deep.  The subset count is bounded by a running
+    stays at most 462 deep.  The subset count is bounded by a running
     product that stops above the limit, so a huge one is never formed.
     Tables are cached per (n, k), at most 32 of them, the least recently
     used dropped first; a check sweep asks for every genus of one (n, k)
@@ -209,6 +218,12 @@ def reduced_sum_terms(n: int, k: int) -> tuple[tuple[int, CosecantSquaredTerm], 
             f"the reduced sum for rank {n}, level {k} needs {work} pair updates "
             f"and profile entries, above the limit of {MAX_PAIR_UPDATES}"
         )
+    if n == 2:
+        # each {a, M} is one pair at offset a <= M/2, or at M - a
+        return tuple(
+            (1 if 2 * a == modulus else 2, CosecantSquaredTerm._make((modulus, ((a, 1),))))
+            for a in range(1, modulus // 2 + 1)
+        )
     # A profile is packed into one integer, c_d in the digit of `width`
     # bits at position d.  A count never exceeds the C(n, 2) pairs, nor n,
     # since each element of S has at most two partners at offset d.
@@ -223,19 +238,22 @@ def reduced_sum_terms(n: int, k: int) -> tuple[tuple[int, CosecantSquaredTerm], 
         # packs the pairs among the prefix and M, `left` elements remain to
         # be chosen, and pending[i] packs the pairs that the prefix's i-th
         # candidate for the next element would add.  The candidates after
-        # it each get one more pair, with the element just added.  Each
-        # subset's profile is counted where the walk completes it, so
-        # profiles enter `counts` in lexicographic order of their first
-        # subset.  The bounds above keep the recursion at most 463 deep
-        # (rank 464, level 1).
+        # it each get one more pair, with the element just added.  The last
+        # candidate is M - a, a the least element, and a subset counts 2
+        # unless it ends there.  Each subset's profile is counted where the
+        # walk completes it, so profiles enter `counts` in lexicographic
+        # order of their first subset.  The bounds above keep the
+        # recursion at most 462 deep (rank 464, level 1).
         if left == 1:
+            last = pending.pop() + key
             for p in pending:
                 p += key
-                counts[p] = counts.get(p, 0) + 1
+                counts[p] = counts.get(p, 0) + 2
+            counts[last] = counts.get(last, 0) + 1
             return
         if left == len(pending):
             # No choice is left: the candidates are the run of consecutive
-            # integers up to M - 1, and all of them join S.  Among
+            # integers up to M - a, and all of them join S.  Among
             # themselves they have left - j pairs at offset j.
             key += sum(pending) + sum((left - j) * step[j - 1] for j in range(1, left))
             counts[key] = counts.get(key, 0) + 1
@@ -243,7 +261,9 @@ def reduced_sum_terms(n: int, k: int) -> tuple[tuple[int, CosecantSquaredTerm], 
         for i in range(len(pending) - left + 1):
             walk(key + pending[i], list(map(add, pending[i + 1:], step)), left - 1)
 
-    walk(0, step, n - 1)
+    # the least element a leaves the other n - 2 below M in (a, M - a]
+    for a in range(1, (modulus - n) // 2 + 2):
+        walk(step[a - 1], list(map(add, step[a:modulus - a], step)), n - 2)
     # `walk` refers to itself through its closure cell; dropping the name
     # empties the cell, so no reference cycle outlives the call
     del walk

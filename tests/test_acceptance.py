@@ -303,7 +303,10 @@ def test_reduced_terms_group_subsets_by_pair_offsets():
         if math.comb(modulus - 1, n - 1) <= 2000
     }
     assert lookup_cells <= small_cells
-    for n, k in sorted(small_cells | {(n, k) for _, n, k in queries}):
+    # cells where a + b = M ties, odd and even moduli, and level 1, for
+    # the walk that visits one subset of each reflection pair
+    wide_cells = {(2, 2000), (3, 100), (7, 9), (6, 11), (40, 1)}
+    for n, k in sorted(small_cells | wide_cells | {(n, k) for _, n, k in queries}):
         modulus = n + k
         terms = reduced_sum_terms(n, k)
         assert terms == _table_by_definition(n, k), (n, k)

@@ -7,6 +7,7 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
+import mpmath
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -22,10 +23,13 @@ from thetadim.intervals import (
     _GUARD_BITS,
     _SINE_EXTRA_BITS,
     _SINE_WIDTH_UNITS,
+    _arctan_inv_scaled,
     _base_estimate,
     _base_scaled,
     _first_rung,
     _pi_scaled,
+    _power_scaled,
+    _sin_series_scaled,
     _sum_scaled,
     certify_integer,
     evaluate_sum,
@@ -174,6 +178,80 @@ class TestSinEnclosureWidths:
         for m, modulus in _all_offsets(top):
             lo, hi = sin_enclosure(m, modulus, bits)
             assert hi - lo <= _SINE_WIDTH_UNITS, (m, modulus)
+
+
+def _mp_contains(f, num, den, lo, hi, work_bits):
+    """Whether [lo, hi] / 2**work_bits contains f(num / den), for an mpmath
+    function f of slope at most 1 whose arguments and values are at most 2.
+
+    f runs at 4 * work_bits bits, where its error, a few units in the last
+    place, is far below one unit of the scale; only while an endpoint lies
+    within that error of the value are the bits doubled, so the answer is
+    exact for every irrational value.
+    """
+    bits = 4 * work_bits
+    while bits <= 64 * work_bits:
+        with mpmath.workprec(bits):
+            value = f(mpmath.mpf(num) / den)
+            error = mpmath.ldexp(1, 8 - bits)
+            below, above = mpmath.ldexp(lo, -work_bits), mpmath.ldexp(hi, -work_bits)
+            if below <= value - error and value + error <= above:
+                return True
+            if below > value + error or value - error > above:
+                return False
+        bits *= 2
+    raise AssertionError(f"undecided at {bits // 2} bits")
+
+
+class TestRoundingSpecs:
+    """Each primitive against its own specification at working scales of
+    4 to 24 bits, where a rounding turned the wrong way costs a whole unit
+    that no guard bit absorbs."""
+
+    @given(
+        work_bits=st.integers(4, 24),
+        lo=st.integers(1, 2**27),
+        extra=st.integers(0, 8),
+        e=st.integers(0, 40),
+    )
+    @example(work_bits=4, lo=3, extra=0, e=2)
+    @example(work_bits=4, lo=3, extra=0, e=6)
+    @example(work_bits=4, lo=3, extra=0, e=3)
+    @settings(max_examples=300, deadline=None)
+    def test_power_bounds_the_exact_power(self, work_bits, lo, extra, e):
+        # x**e for x in [lo, hi] / 2**w lies in [r_lo, r_hi] / 2**w, that is
+        # r_lo * 2**(w e) <= lo**e * 2**w and r_hi * 2**(w e) >= hi**e * 2**w,
+        # in exact integers; e = 2 is one squaring, e = 6 squares the
+        # base in both of the function's loops, and odd exponents multiply
+        lo %= 1 << (work_bits + 3)
+        lo += 1
+        hi = lo + extra
+        r_lo, r_hi = _power_scaled(lo, hi, e, work_bits)
+        assert r_lo << (work_bits * e) <= lo**e << work_bits
+        assert r_hi << (work_bits * e) >= hi**e << work_bits
+
+    @given(
+        work_bits=st.integers(4, 24),
+        den=st.integers(1, 1000),
+        where=st.fractions(0, 1),
+    )
+    @example(work_bits=4, den=1, where=Fraction(1, 32))
+    @example(work_bits=24, den=7, where=Fraction(1, 2))
+    @settings(max_examples=200, deadline=None)
+    def test_sine_series_contains_the_sine(self, work_bits, den, where):
+        # the angle t = num / (den * 2**w) anywhere in (0, 2]
+        top = den << (work_bits + 1)
+        num = max(1, int(where * top))
+        lo, hi = _sin_series_scaled(num, den, work_bits)
+        assert _mp_contains(mpmath.sin, num, den << work_bits, lo, hi, work_bits)
+
+    @given(work_bits=st.integers(4, 24), x=st.integers(2, 300))
+    @example(work_bits=4, x=5)
+    @example(work_bits=24, x=239)
+    @settings(max_examples=200, deadline=None)
+    def test_arctan_series_contains_the_arctan(self, work_bits, x):
+        lo, hi = _arctan_inv_scaled(x, work_bits)
+        assert _mp_contains(mpmath.atan, 1, x, lo, hi, work_bits)
 
 
 class TestSineProductTerm:

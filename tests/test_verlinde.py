@@ -225,6 +225,24 @@ class TestSlDim:
         with pytest.raises(UnsupportedQuery):
             sl_dim(VerlindeQuery(5, 3, 7, 2))
 
+    @pytest.mark.parametrize(
+        "g,n,k,value",
+        [
+            # 92,378 subsets in 2,377 pair-offset profiles
+            (2, 10, 10, 32849636921916053280),
+            # rank 2 at level 2000 is C(2003, 3), read off without a walk
+            (2, 2, 2000, 1337337001),
+            # the level-one law at the 128-bit rung
+            (90, 3, 1, 3**90),
+            # genus 1: the closed form C(12+12-1, 12)
+            (1, 12, 12, 1352078),
+        ],
+    )
+    def test_large_cells(self, g, n, k, value):
+        assert math.comb(2003, 3) == 1337337001 and math.comb(23, 12) == 1352078
+        method = METHOD_ELLIPTIC if g == 1 else METHOD_TRIG
+        assert sl_dim(VerlindeQuery(g, n, 0, k)) == DimResult(value, method, g > 1)
+
     @pytest.mark.parametrize("n", range(1, 6))
     @pytest.mark.parametrize("g", range(2, 5))
     def test_level_one_law(self, n, g):
