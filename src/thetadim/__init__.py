@@ -18,7 +18,6 @@ from .intervals import (
     CertifiedInterval,
     CosecantSquaredTerm,
     NoIntegerInInterval,
-    SineProductTerm,
     certify_integer,
     evaluate_sum,
 )
@@ -96,7 +95,6 @@ __all__ = [
     "NotAMultiple",
     "PullbackFactorization",
     "RootEquation",
-    "SineProductTerm",
     "ThetaDescriptor",
     "UnsupportedQuery",
     "VerlindeQuery",

@@ -2,14 +2,13 @@
 
 The kernel encloses sums of the shape
 
-    sum_i  coeff_i * (scale * 2**-shift * prod_j  f(m_ij / M)^e_ij)**power
+    sum_i  coeff_i * (scale * 2**-shift * prod_j  csc^2(pi m_ij / M)^e_ij)**power
 
 between dyadic bounds, with positive integer multiplicities coeff_i, a
 positive integer scale, a binary shift and one common exponent `power`,
-where every factor of every term is of one kind over one modulus M:
-f(t) = |2 sin(pi t)| (`SineProductTerm`) or f(t) = csc^2(pi t)
-(`CosecantSquaredTerm`).  `evaluate_sum` refuses any other sum, so every
-bound the kernel multiplies is nonnegative.  Only `power` varies with the
+where every term is a `CosecantSquaredTerm` over one modulus M.
+`evaluate_sum` refuses any other sum, so every bound the kernel multiplies
+is nonnegative, and every factor is >= 1.  Only `power` varies with the
 genus, so one table of terms and one scale serve every power.  The
 enclosures of pi and of the sine values come from alternating series with
 explicit tail bounds, evaluated in fixed-point integer arithmetic with
@@ -29,25 +28,25 @@ nonnegative bounds and is floored on the lower bound and ceiled on the
 upper one, in the manner of Arb's dyadic arithmetic (Johansson, "Arb:
 efficient arbitrary-precision midpoint-radius interval arithmetic", IEEE
 Trans. Computers, 2017); with no sign in play, that is the whole rounding
-argument.  The sine enclosures are integer bounds at that scale too, so
-they enter as they are; a csc^2 factor is 4 / x^2 of the sine enclosure x,
-rounded outward at the same scale.  None of these depends on the genus, so
-each sine, and each csc^2 base above it, is enclosed once per process and
-rung, and each base's float estimate (see below) once per process, in
-caches beside the pi bounds; only the powers, which the genus scales, are
-computed per evaluation, each distinct one once.  A csc^2 factor is >= 1,
-so its rounding errors stay relative to the term, while a sine below 1
-carries an absolute one.  The precision is a rung of the ladder 64 * 2**j,
-and the first rung is chosen a priori from a float estimate of the
-magnitudes and rounding count involved, so a sum is normally certified in
-one precision step; doubling remains as the fallback, up to a hard cap,
-and an estimate far beyond the cap fails before any enclosure, or any
-power of the scale, is computed.  Floats only choose the rung, never an
-endpoint.  The multiplicities and scale**power multiply the bounds
-exactly, and power * shift only moves the scale, so the result is the
-dyadic interval [lo, hi] / 2**(w + power * shift) (`CertifiedInterval`),
-the target width is 2**-target_bits, and `certify_integer` decides with
-integer shifts.  Nothing here builds a Fraction.
+argument.  The sine enclosures are integer bounds at that scale too, and
+a csc^2 factor is 4 / x^2 of the sine enclosure x, rounded outward at the
+same scale.  None of these depends on the genus, so each sine, and each
+csc^2 base above it, is enclosed once per process and rung, and each
+base's float estimate (see below) once per process, in caches beside the
+pi bounds; only the powers, which the genus scales, are computed per
+evaluation, each distinct one once.  Every factor is >= 1, so its
+rounding errors stay relative to the term.  The precision is a rung of
+the ladder 64 * 2**j, and the first rung is chosen a priori from a float
+estimate of the magnitudes and rounding count involved, so a sum is
+normally certified in one precision step; doubling remains as the
+fallback, up to a hard cap, and an estimate far beyond the cap fails
+before any enclosure, or any power of the scale, is computed.  Floats only
+choose the rung, never an endpoint.  The multiplicities and scale**power
+multiply the bounds exactly, and power * shift only moves the scale, so
+the result is the dyadic interval [lo, hi] / 2**(w + power * shift)
+(`CertifiedInterval`), the target width is 2**-target_bits, and
+`certify_integer` decides with integer shifts.  Nothing here builds a
+Fraction.
 
 Everything here is a pure function of its inputs; the caches are
 idempotent write-once tables, so concurrent use is safe.
@@ -117,13 +116,14 @@ class CertifiedInterval(namedtuple("CertifiedInterval", "lo hi scale_bits precis
         return super().__new__(cls, lo, hi, scale_bits, precision_bits)
 
 
-class _FactorTerm(namedtuple("_FactorTerm", "modulus factors")):
-    """A product of powers of one trigonometric factor over one modulus M.
+class CosecantSquaredTerm(namedtuple("CosecantSquaredTerm", "modulus factors")):
+    """The product  prod_j csc^2(pi m_j / M)^(e_j)  over one modulus M.
 
-    Offsets are reduced modulo M into (0, M) at construction; every factor
-    is a function of |sin(pi m / M)|, which has period M, so this is
-    harmless.  Exponents are nonnegative integers.  An empty factor list
-    represents the value 1.
+    Offsets are reduced modulo M into (0, M) at construction; csc^2(pi m / M)
+    has period M in m, so this is harmless.  Exponents are nonnegative
+    integers.  An empty factor list represents the value 1.  Every factor
+    is >= 1, so the kernel's fixed-point rounding errors stay relative to
+    the term's value.
     """
 
     __slots__ = ()
@@ -140,22 +140,6 @@ class _FactorTerm(namedtuple("_FactorTerm", "modulus factors")):
                 raise ValueError("exponents must be nonnegative")
             reduced.append((r, e))
         return super().__new__(cls, modulus, tuple(reduced))
-
-
-class SineProductTerm(_FactorTerm):
-    """The product  prod_j |2 sin(pi m_j / M)|^(e_j)  over one modulus M."""
-
-    __slots__ = ()
-
-
-class CosecantSquaredTerm(_FactorTerm):
-    """The product  prod_j csc^2(pi m_j / M)^(e_j)  over one modulus M.
-
-    Every factor is >= 1, so the kernel's fixed-point rounding errors stay
-    relative to the term's value.
-    """
-
-    __slots__ = ()
 
 
 # ---------------------------------------------------------------------------
@@ -334,16 +318,15 @@ def _approx(numerator: int, bits: int, spec: str) -> str:
 
 
 @lru_cache(maxsize=None)
-def _base_estimate(cosecant: bool, modulus: int, m: int) -> tuple[float, float]:
-    """Float estimates, for `_first_rung`, of log2 of a factor's base and of
-    its enclosure's relative error in units of the working scale: a sine
+def _base_estimate(modulus: int, m: int) -> tuple[float, float]:
+    """Float estimates, for `_first_rung`, of log2 of a csc^2 base and of
+    its enclosure's relative error in units of the working scale: the sine
     x = 2 sin(pi m / M) is _SINE_WIDTH_UNITS units wide, and csc^2 = 4/x^2
-    doubles its relative error and adds one unit of rounding.  They depend
-    on no genus, so each (kind, M, m) is estimated once per process."""
+    doubles its relative error and adds one unit of rounding.  The log is
+    >= 0, and exactly 0.0 at the half turn, where math.sin gives 1.0.  They
+    depend on no genus, so each (M, m) is estimated once per process."""
     x = 2 * math.sin(math.pi * m / modulus)
-    if cosecant:
-        return 2.0 - 2 * math.log2(x), 2 * _SINE_WIDTH_UNITS / x + 1
-    return math.log2(x), _SINE_WIDTH_UNITS / x
+    return 2.0 - 2 * math.log2(x), 2 * _SINE_WIDTH_UNITS / x + 1
 
 
 def _cap_error(width: str, target_bits: int, cap: int) -> CertificationError:
@@ -353,8 +336,7 @@ def _cap_error(width: str, target_bits: int, cap: int) -> CertificationError:
 
 
 def _first_rung(
-    prepared: Sequence[tuple[int, _FactorTerm]],
-    cosecant: bool,
+    prepared: Sequence[tuple[int, CosecantSquaredTerm]],
     power: int,
     scale: int,
     shift: int,
@@ -364,16 +346,14 @@ def _first_rung(
     """The first rung of the ladder 64 * 2**j (capped at max_bits)
     whose working scale is expected to meet the width target 2**-target_bits.
 
-    The sum is one that `evaluate_sum` accepts, its terms of the kind
-    `cosecant` names.  At scale 2**-w a term's error is about 2**-w times
-    its rounding count, amplified by the factors above 1, by its
-    multiplicity and by the scale's 2**(power * (log2(scale) - shift)).
-    A factor's base enclosure adds its relative error once per unit of
-    exponent, its exponent times `power`.  Factors below 1, which only sine
-    products have, carry an absolute error and are counted as 1.  The
-    estimate is this first-order count of the kernel's roundings and nothing
-    more: floats only choose the rung, the enclosure stays rigorous, and the
-    ladder doubles if the count falls short.  An estimate beyond twice the
+    The sum is one that `evaluate_sum` accepts.  At scale 2**-w a term's
+    error is about 2**-w times its rounding count, amplified by its
+    factors, every one >= 1, by its multiplicity and by the scale's
+    2**(power * (log2(scale) - shift)).  A factor's base enclosure adds its
+    relative error once per unit of exponent, its exponent times `power`.
+    The estimate is this first-order count of the kernel's roundings and
+    nothing more: floats only choose the rung, the enclosure stays rigorous,
+    and the ladder doubles if the count falls short.  An estimate beyond twice the
     cap, and beyond 128 bits, misses the cap by far more than a first-order
     count can be off, so it raises CertificationError before any pi, sine,
     product or power of the scale is computed, with the estimated width at
@@ -385,9 +365,8 @@ def _first_rung(
         log_size, roundings = log2(coeff), 2.0
         for m, e in term.factors:
             e *= power
-            log_base, error_units = estimate(cosecant, term.modulus, m)
-            if log_base > 0:
-                log_size += e * log_base
+            log_base, error_units = estimate(term.modulus, m)
+            log_size += e * log_base
             roundings += e * error_units + 2 * e.bit_length() + 2
         bounds.append(log_size + log2(roundings))
     needed = 0.0
@@ -409,29 +388,28 @@ def _first_rung(
 def _base_scaled(m: int, modulus: int, precision: int) -> tuple[int, int]:
     """Bounds on csc^2(pi m / M) = 4 / x^2 at the working scale 2**-w of
     `precision`, from the sine enclosure x of 2 sin(pi m / M): floored from
-    x's upper bound and ceiled from its lower one, both positive.  Its
-    arguments are those of `sin_enclosure`, which is a sine product's base
-    as it is; like the sine, each (M, m, rung) is enclosed once per process."""
+    x's upper bound and ceiled from its lower one, both positive.  It is the
+    only base the kernel multiplies; its arguments are those of
+    `sin_enclosure`, and like the sine, each (M, m, rung) is enclosed once
+    per process."""
     lo, hi = sin_enclosure(m, modulus, precision)
     numerator = 1 << (3 * (precision + _GUARD_BITS) + 2)
     return numerator // (hi * hi), -(-numerator // (lo * lo))
 
 
 def _sum_scaled(
-    prepared: Sequence[tuple[int, _FactorTerm]], cosecant: bool, power: int, precision: int
+    prepared: Sequence[tuple[int, CosecantSquaredTerm]], power: int, precision: int
 ) -> tuple[int, int, int]:
     """Bounds (lo, hi, w) with sum(coeff * term**power) in [lo, hi] / 2**w.
 
-    The sum is one that `evaluate_sum` accepts, its terms of the kind
-    `cosecant` names, so each base is the cached `_base_scaled` (csc^2) or
-    `sin_enclosure` (sine) of its offset over the one modulus, and every
-    bound is nonnegative.  Each distinct power of a base is computed once
-    per call and shared by every term that uses it; only the powers depend
-    on `power`, hence on the genus.  The positive multiplicities multiply a
+    The sum is one that `evaluate_sum` accepts, so each base is the cached
+    `_base_scaled` of its offset over the one modulus, and every bound is
+    nonnegative.  Each distinct power of a base is computed once per call
+    and shared by every term that uses it; only the powers depend on
+    `power`, hence on the genus.  The positive multiplicities multiply a
     term's bounds exactly.
     """
     work = precision + _GUARD_BITS
-    base = _base_scaled if cosecant else sin_enclosure
     powers: dict[tuple[int, int], tuple[int, int]] = {}  # (offset, exponent) -> power
     total_lo = total_hi = 0
     for coeff, term in prepared:
@@ -439,7 +417,7 @@ def _sum_scaled(
         for factor in term.factors:
             bound = powers.get(factor)
             if bound is None:
-                enclosure = base(factor[0], term.modulus, precision)
+                enclosure = _base_scaled(factor[0], term.modulus, precision)
                 bound = powers[factor] = _power_scaled(*enclosure, factor[1] * power, work)
             lo = (lo * bound[0]) >> work
             hi = -((-hi * bound[1]) >> work)
@@ -449,7 +427,7 @@ def _sum_scaled(
 
 
 def evaluate_sum(
-    terms: Iterable[tuple[int, _FactorTerm]],
+    terms: Iterable[tuple[int, CosecantSquaredTerm]],
     power: int,
     scale: int,
     shift: int,
@@ -460,11 +438,11 @@ def evaluate_sum(
     """Enclose  sum(coeff * (scale * 2**-shift * value(term))**power)  to
     within 2**-target_bits.
 
-    The sum must be positive integer multiplicities of terms of one kind,
-    all `CosecantSquaredTerm` or all `SineProductTerm`, over one modulus,
-    at a positive integer scale; anything else raises ValueError before any
-    estimate or enclosure.  Terms, multiplicities and the scale are built
-    once for every power; 0 makes the product 1.  The first precision is the
+    The sum must be positive integer multiplicities of `CosecantSquaredTerm`
+    terms over one modulus, at a positive integer scale; anything else
+    raises ValueError before any estimate or enclosure.  Terms,
+    multiplicities and the scale are built once for every power; 0 makes
+    the product 1.  The first precision is the
     rung of the ladder 64 * 2**j that an a priori estimate expects to meet
     the target (see `_first_rung`); only once it accepts a rung are
     scale**power, which multiplies the bounds exactly, and power * shift
@@ -482,17 +460,16 @@ def evaluate_sum(
     if max_bits < 1:
         raise ValueError("max_bits must be positive")
     prepared = tuple(terms)
-    kind = type(prepared[0][1]) if prepared else CosecantSquaredTerm
-    if scale < 1 or kind not in (CosecantSquaredTerm, SineProductTerm) or any(
-        c < 1 or type(t) is not kind or t.modulus != prepared[0][1].modulus for c, t in prepared
+    if scale < 1 or any(
+        c < 1 or type(t) is not CosecantSquaredTerm or t.modulus != prepared[0][1].modulus
+        for c, t in prepared
     ):
-        raise ValueError("expected positive multiples of one term kind over one modulus, scale > 0")
-    cosecant = kind is CosecantSquaredTerm
+        raise ValueError("expected positive multiples of csc^2 terms over one modulus, scale > 0")
 
-    precision = _first_rung(prepared, cosecant, power, scale, shift, target_bits, max_bits)
+    precision = _first_rung(prepared, power, scale, shift, target_bits, max_bits)
     scale, shift = scale**power, shift * power
     while True:
-        lo, hi, work = _sum_scaled(prepared, cosecant, power, precision)
+        lo, hi, work = _sum_scaled(prepared, power, precision)
         lo, hi = lo * scale, hi * scale
         bits = work + shift
         # the width (hi - lo) / 2**bits meets 2**-target_bits when hi - lo is

@@ -28,7 +28,6 @@ from operator import add
 from .intervals import (
     DEFAULT_MAX_PRECISION_BITS,
     CosecantSquaredTerm,
-    SineProductTerm,
     certify_integer,
     evaluate_sum,
 )
@@ -107,40 +106,44 @@ class DimResult(namedtuple("DimResult", "value method certified")):
         return super().__new__(cls, value, method, certified)
 
 
-def verlinde_sum_terms(n: int, k: int) -> list[tuple[int, SineProductTerm]]:
+def verlinde_sum_terms(n: int, k: int) -> list[tuple[int, CosecantSquaredTerm]]:
     """Terms of the unreduced rank-n, level-k trigonometric sum, for every genus.
 
-    The sum runs over the n-element subsets S of {1, .., n+k} in
-    lexicographic order; each term is
-    prod_{s in S, t not in S} |2 sin(pi (s - t)/(n + k))|, every factor with
-    exponent 1, and its coefficient is 1.  Evaluated with the kernel's
-    `power` g - 1 at scale 1 it is the integer N_g = s_g * ((n + k)/n)^g,
-    so s_g = N_g * n^g / (n + k)^g, a division that must leave no
-    remainder.  This unoptimized enumeration is the reference path:
-    `reduced_sum_terms` must certify the same integers.
+    The sum runs over the n-element subsets S of {1, .., M}, M = n + k, in
+    lexicographic order; each term is prod_{s < t in S} csc^2(pi (t - s)/M),
+    every factor with exponent 1, and its coefficient is 1.  With
+    x_d = |2 sin(pi d/M)|, the identity prod_{t != s} x_(s-t) = M, for every
+    s, turns the Verlinde product prod_{s in S, t not in S} x_(s-t) into
+    M^n * prod_{s < t in S} x_(t-s)^(-2) = M^n 2^(-2 C(n, 2)) times this
+    term, since x^(-2) = csc^2/4; mpmath's `brute_force_sum` in the tests
+    evaluates the sine product itself, so it checks that identity.
+    Evaluated with the kernel's `power` g - 1, scale M^n and shift
+    2 C(n, 2), the sum is the integer N_g = s_g * (M/n)^g, so
+    s_g = N_g * n^g / M^g, a division that must leave no remainder.  This
+    enumeration is the reference path: it shares none of the rotation,
+    reflection, packing, grouping or rank-2 shortcuts of
+    `reduced_sum_terms`, which must certify the same integers.
     """
     if n < 1 or k < 1:
         raise ValueError("rank and level must both be >= 1")
     modulus = n + k
-    universe = range(1, modulus + 1)
-    terms = []
-    for subset in combinations(universe, n):
-        inside = set(subset)
-        factors = tuple((s - t, 1) for s in subset for t in universe if t not in inside)
-        terms.append((1, SineProductTerm(modulus, factors)))
-    return terms
+    return [
+        (1, CosecantSquaredTerm(modulus, tuple((t - s, 1) for s, t in combinations(subset, 2))))
+        for subset in combinations(range(1, modulus + 1), n)
+    ]
 
 
 @lru_cache(maxsize=32)
 def reduced_sum_terms(n: int, k: int) -> tuple[tuple[int, CosecantSquaredTerm], ...]:
-    """The same sum as `verlinde_sum_terms`, reduced by two exact identities
-    to products of csc^2 factors and grouped by pair-offset profile, as a
-    table that serves every genus.
+    """The Verlinde sum of `verlinde_sum_terms`, reduced by two exact
+    identities to products of csc^2 factors and grouped by pair-offset
+    profile, as a table that serves every genus.
 
     With M = n + k, x_d = |2 sin(pi d/M)| and z_d = csc^2(pi d/M) = 4/x_d^2,
     this is the SU(n) alcove form S_{0,lambda}^(2-2g) of the Verlinde sum
     (Beauville, "Conformal blocks, fusion rules and the Verlinde formula",
-    1996):
+    1996), which `verlinde_sum_terms` sums over all subsets after the
+    second identity below:
 
     * terms are invariant under S -> S + 1 mod M, so the sum over all
       subsets is M/n times the sum over the C(M-1, n-1) subsets that

@@ -25,7 +25,6 @@ from thetadim.intervals import (
     DEFAULT_MAX_PRECISION_BITS,
     CosecantSquaredTerm,
     NoIntegerInInterval,
-    SineProductTerm,
     _base_estimate,
     _base_scaled,
     _first_rung,
@@ -185,9 +184,10 @@ def _trig_queries_from_criteria_1_to_5():
 
 def test_criterion_8_certification_discipline():
     with criterion("8 certification widths < 1/4 and corrupted-modulus negative control"):
-        # the unreduced sum at scale 1 is the integer N_g = s_g (M/n)^g
+        # the unreduced sum at scale M^n and shift 2 C(n, 2) is the integer
+        # N_g = s_g (M/n)^g
         for g, n, k in _trig_queries_from_criteria_1_to_5():
-            enclosure = evaluate_sum(verlinde_sum_terms(n, k), g - 1, 1, 0, 2)
+            enclosure = evaluate_sum(verlinde_sum_terms(n, k), g - 1, *_reference_scale(n, k), 2)
             lo, hi = (Fraction(x, 1 << enclosure.scale_bits) for x in enclosure[:2])
             assert hi - lo < Fraction(1, 4), (g, n, k)
             # exactly one integer inside
@@ -196,34 +196,41 @@ def test_criterion_8_certification_discipline():
             # and the exact division by (M/n)^g leaves no remainder
             assert total * n**g % (n + k) ** g == 0, (g, n, k)
 
-        # negative control: same sums with an off-by-one modulus must be
-        # caught by the integrality certificate somewhere on the grid.
+        # negative control: same sums with an off-by-one modulus, at the
+        # scale of the true one, must be caught by the integrality
+        # certificate somewhere on the grid.
         rejected = 0
         for g, n, k in ((2, 2, 1), (2, 2, 2), (2, 3, 1)):
             corrupted = [
-                (coeff, SineProductTerm(term.modulus + 1, term.factors))
+                (coeff, CosecantSquaredTerm(term.modulus + 1, term.factors))
                 for coeff, term in verlinde_sum_terms(n, k)
             ]
-            enclosure = evaluate_sum(corrupted, g - 1, 1, 0, 2)
+            enclosure = evaluate_sum(corrupted, g - 1, *_reference_scale(n, k), 2)
             try:
                 certify_integer(enclosure)
             except NoIntegerInInterval:
                 rejected += 1
         assert rejected >= 1
-        # the (g=2, n=2, k=1) corruption in particular encloses N = 6*sqrt(2)
+        # the (g=2, n=2, k=1) corruption in particular encloses
+        # N = 9/4 * (2 + 1 + 2) = 45/4
         corrupted = [
-            (c, SineProductTerm(t.modulus + 1, t.factors)) for c, t in verlinde_sum_terms(2, 1)
+            (c, CosecantSquaredTerm(t.modulus + 1, t.factors)) for c, t in verlinde_sum_terms(2, 1)
         ]
         with pytest.raises(NoIntegerInInterval):
-            certify_integer(evaluate_sum(corrupted, 1, 1, 0, 2))
+            certify_integer(evaluate_sum(corrupted, 1, *_reference_scale(2, 1), 2))
+
+
+def _reference_scale(n, k):
+    """The (scale, shift) at which `verlinde_sum_terms(n, k)` sums to
+    N_g = s_g ((n + k)/n)^g: (n + k)^n and 2 C(n, 2)."""
+    return (n + k) ** n, 2 * math.comb(n, 2)
 
 
 def _certify_at_first_rung(terms, power, scale, shift):
     """(certified integer, rung) of a sum at the target 1/4, asserting the
     a priori rung needed no doubling."""
     enclosure = evaluate_sum(terms, power, scale, shift, 2)
-    cosecant = type(terms[0][1]) is CosecantSquaredTerm
-    first = _first_rung(tuple(terms), cosecant, power, scale, shift, 2, DEFAULT_MAX_PRECISION_BITS)
+    first = _first_rung(tuple(terms), power, scale, shift, 2, DEFAULT_MAX_PRECISION_BITS)
     assert enclosure.precision_bits == first
     return certify_integer(enclosure), first
 
@@ -250,8 +257,9 @@ def _pair_form(g, n, k):
 
 def _unreduced_at_first_rung(g, n, k):
     """s_g from the unreduced sum: N_g certified at its a priori rung with
-    power g - 1 and scale 1, then divided exactly by (M/n)^g."""
-    total, _ = _certify_at_first_rung(verlinde_sum_terms(n, k), g - 1, 1, 0)
+    power g - 1, scale M^n and shift 2 C(n, 2), then divided exactly by
+    (M/n)^g."""
+    total, _ = _certify_at_first_rung(verlinde_sum_terms(n, k), g - 1, *_reference_scale(n, k))
     value, remainder = divmod(total * n**g, (n + k) ** g)
     assert remainder == 0, (g, n, k, total)
     return value

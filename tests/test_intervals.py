@@ -6,6 +6,7 @@ import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import mpmath
 import pytest
@@ -19,7 +20,6 @@ from thetadim.intervals import (
     CertifiedInterval,
     CosecantSquaredTerm,
     NoIntegerInInterval,
-    SineProductTerm,
     _GUARD_BITS,
     _SINE_EXTRA_BITS,
     _SINE_WIDTH_UNITS,
@@ -54,12 +54,11 @@ def _sine(m, modulus, bits):
 
 @st.composite
 def _one_kind_terms(draw):
-    """A modulus M, one term kind, and one to four (multiplicity, factors) over M."""
+    """A modulus M and one to four (multiplicity, factors) of csc^2 terms over M."""
     modulus = draw(st.integers(2, 12))
-    kind = draw(st.sampled_from([SineProductTerm, CosecantSquaredTerm]))
     factor = st.tuples(st.integers(1, modulus - 1), st.integers(0, 4))
     term = st.tuples(st.integers(1, 6), st.lists(factor, max_size=3))
-    return modulus, kind, draw(st.lists(term, min_size=1, max_size=4))
+    return modulus, draw(st.lists(term, min_size=1, max_size=4))
 
 
 def _value(iv):
@@ -182,18 +181,19 @@ class TestSinEnclosureWidths:
 
 def _mp_contains(f, num, den, lo, hi, work_bits):
     """Whether [lo, hi] / 2**work_bits contains f(num / den), for an mpmath
-    function f of slope at most 1 whose arguments and values are at most 2.
+    function f whose arguments are at most 2 and whose slope at t, times t,
+    is at most twice max(1, |f(t)|).
 
     f runs at 4 * work_bits bits, where its error, a few units in the last
-    place, is far below one unit of the scale; only while an endpoint lies
-    within that error of the value are the bits doubled, so the answer is
-    exact for every irrational value.
+    place of max(1, |f|), is far below one unit of the scale; only while an
+    endpoint lies within that error of the value are the bits doubled, so
+    the answer is exact for every irrational value.
     """
     bits = 4 * work_bits
     while bits <= 64 * work_bits:
         with mpmath.workprec(bits):
             value = f(mpmath.mpf(num) / den)
-            error = mpmath.ldexp(1, 8 - bits)
+            error = mpmath.ldexp(max(1, abs(value)), 8 - bits)
             below, above = mpmath.ldexp(lo, -work_bits), mpmath.ldexp(hi, -work_bits)
             if below <= value - error and value + error <= above:
                 return True
@@ -203,10 +203,16 @@ def _mp_contains(f, num, den, lo, hi, work_bits):
     raise AssertionError(f"undecided at {bits // 2} bits")
 
 
+# csc^2(pi q) at the turns q in (0, 1/2) where it is rational (Niven's
+# theorem), which no precision separates from an endpoint equal to it
+_RATIONAL_COSECANTS = {Fraction(1, 6): 4, Fraction(1, 4): 2, Fraction(1, 3): Fraction(4, 3)}
+
+
 class TestRoundingSpecs:
-    """Each primitive against its own specification at working scales of
-    4 to 24 bits, where a rounding turned the wrong way costs a whole unit
-    that no guard bit absorbs."""
+    """Each primitive against its own specification at its smallest working
+    scales, 4 to 24 bits or, for the kernel's bases and sums, the 33 to 56
+    bits of precisions 1 to 24, where a rounding turned the wrong way costs
+    a whole unit that no guard bit absorbs."""
 
     @given(
         work_bits=st.integers(4, 24),
@@ -253,19 +259,74 @@ class TestRoundingSpecs:
         lo, hi = _arctan_inv_scaled(x, work_bits)
         assert _mp_contains(mpmath.atan, 1, x, lo, hi, work_bits)
 
+    @given(precision=st.integers(1, 24), modulus=st.integers(2, 64), m=st.integers(1, 63))
+    @example(precision=1, modulus=5, m=2)
+    @example(precision=24, modulus=8, m=4)
+    @settings(max_examples=300, deadline=None)
+    def test_cosecant_base_contains_the_cosecant(self, precision, modulus, m):
+        # the only base the kernel multiplies, at working scales of 33 to 56
+        # bits: 2**w <= lo <= csc^2(pi m / M) * 2**w <= hi, exact at the
+        # half turn
+        m = 1 + m % (modulus - 1)
+        work_bits = precision + _GUARD_BITS
+        lo, hi = _base_scaled(m, modulus, precision)
+        assert 1 << work_bits <= lo <= hi
+        turn = Fraction(m, modulus)
+        exact = _RATIONAL_COSECANTS.get(min(turn, 1 - turn))
+        if 2 * m == modulus:
+            assert lo == hi == 1 << work_bits
+        elif exact is not None:
+            assert lo <= exact * 2**work_bits <= hi
+        else:
+            csc_squared = lambda t: mpmath.csc(mpmath.pi * t) ** 2
+            assert _mp_contains(csc_squared, m, modulus, lo, hi, work_bits)
 
-class TestSineProductTerm:
+    @given(
+        precision=st.integers(1, 24),
+        factors=st.lists(
+            st.tuples(st.integers(1, 63), st.integers(0, 2**27), st.integers(0, 8),
+                      st.integers(0, 3)),
+            min_size=1, max_size=4, unique_by=lambda factor: factor[0],
+        ),
+        coeff=st.integers(1, 6),
+        power=st.integers(0, 3),
+    )
+    @example(precision=1, factors=[(1, 5, 1, 1), (2, 7, 0, 1)], coeff=1, power=1)
+    @settings(max_examples=200, deadline=None)
+    def test_sum_bounds_the_product_of_its_powers(self, precision, factors, coeff, power):
+        # with each base stubbed by [lo, lo + extra] / 2**w, lo >= 2**w, a
+        # term's bounds enclose coeff times the exact product of its factors'
+        # power bounds P: t_lo * 2**(w (F - 1)) <= coeff * prod P_lo and
+        # t_hi * 2**(w (F - 1)) >= coeff * prod P_hi, in exact integers
+        work_bits = precision + _GUARD_BITS
+        bases = {}
+        for m, lo, extra, _ in factors:
+            lo = (1 << work_bits) + lo % (1 << (work_bits + 3))
+            bases[m] = lo, lo + extra
+        term = CosecantSquaredTerm(64, tuple((m, e) for m, _, _, e in factors))
+        with mock.patch.object(intervals, "_base_scaled", lambda m, modulus, bits: bases[m]):
+            lo, hi, work = _sum_scaled([(coeff, term)], power, precision)
+        assert work == work_bits
+        product_lo = product_hi = coeff
+        for m, e in term.factors:
+            p_lo, p_hi = _power_scaled(*bases[m], e * power, work_bits)
+            product_lo, product_hi = product_lo * p_lo, product_hi * p_hi
+        shift = work_bits * (len(term.factors) - 1)
+        assert lo << shift <= product_lo and hi << shift >= product_hi
+
+
+class TestCosecantSquaredTerm:
     def test_reduces_offsets_into_range(self):
-        term = SineProductTerm(5, ((7, 1), (-1, 2)))
+        term = CosecantSquaredTerm(5, ((7, 1), (-1, 2)))
         assert term.factors == ((2, 1), (4, 2))
 
     def test_rejects_zero_offset(self):
         with pytest.raises(ValueError):
-            SineProductTerm(5, ((10, 1),))
+            CosecantSquaredTerm(5, ((10, 1),))
 
     def test_rejects_negative_exponent(self):
         with pytest.raises(ValueError, match="exponents must be nonnegative"):
-            SineProductTerm(4, ((1, 2), (3, -1)))
+            CosecantSquaredTerm(4, ((1, 2), (3, -1)))
 
 
 class TestEvaluateSum:
@@ -275,47 +336,52 @@ class TestEvaluateSum:
 
     @pytest.mark.parametrize("modulus", range(2, 31))
     def test_full_sine_product_equals_modulus(self, modulus):
-        term = SineProductTerm(modulus, tuple((j, 1) for j in range(1, modulus)))
-        iv = evaluate_sum([(1, term)], 1, 1, 0, 2)
+        # prod_d |2 sin(pi d / M)| = M over 0 < d < M, so the product of
+        # csc^2 = 4 / (2 sin)^2 is 4**(M - 1) / M**2, and M**3 * 2**-(2(M - 1))
+        # times it is M
+        term = CosecantSquaredTerm(modulus, tuple((j, 1) for j in range(1, modulus)))
+        iv = evaluate_sum([(1, term)], 1, modulus**3, 2 * (modulus - 1), 2)
         assert certify_integer(iv) == modulus
 
     def test_three_subset_sum_certifies_four(self):
         # Rank-2 level-1 genus-2 sum written out by hand: the three
-        # 2-element subsets of {1, 2, 3}, each term contributing 3, raised
-        # to the power g - 1 = 1; at scale 1 the sum is N = 9, and the
-        # exact division s = N * 2**2 / 3**2 gives 4.
+        # 2-element subsets {s, t} of {1, 2, 3}, each term csc^2(pi (t - s)/3)
+        # = 4/3 at the scale 3**2 * 2**-2, so contributing 3, raised to the
+        # power g - 1 = 1; the sum is N = 9, and the exact division
+        # s = N * 2**2 / 3**2 gives 4.
         terms = [
-            (1, SineProductTerm(3, ((1 - 3, 1), (2 - 3, 1)))),
-            (1, SineProductTerm(3, ((1 - 2, 1), (3 - 2, 1)))),
-            (1, SineProductTerm(3, ((2 - 1, 1), (3 - 1, 1)))),
+            (1, CosecantSquaredTerm(3, ((2 - 1, 1),))),
+            (1, CosecantSquaredTerm(3, ((3 - 1, 1),))),
+            (1, CosecantSquaredTerm(3, ((3 - 2, 1),))),
         ]
-        total = certify_integer(evaluate_sum(terms, 1, 1, 0, 2))
+        total = certify_integer(evaluate_sum(terms, 1, 9, 2, 2))
         assert total == 9
         assert divmod(total * 2**2, 3**2) == (4, 0)
-        # at the power 2 each term is 9, and the scale 2 * 2**-1 is 1
-        assert certify_integer(evaluate_sum(terms, 2, 2, 1, 2)) == 27
+        # at the power 2 each term is 9
+        assert certify_integer(evaluate_sum(terms, 2, 9, 2, 2)) == 27
 
     @pytest.mark.parametrize(
         "terms,scale",
         [
-            ([(0, SineProductTerm(6, ((1, 2),)))], 1),
-            ([(-3, SineProductTerm(6, ((1, 2),)))], 1),
-            ([(3, SineProductTerm(6, ((1, 2),)))], 0),
-            ([(3, SineProductTerm(6, ((1, 2),)))], -2),
-            ([(1, CosecantSquaredTerm(6, ((1, 1),))), (1, SineProductTerm(6, ((2, 1),)))], 1),
+            ([(0, CosecantSquaredTerm(6, ((1, 2),)))], 1),
+            ([(-3, CosecantSquaredTerm(6, ((1, 2),)))], 1),
+            ([(3, CosecantSquaredTerm(6, ((1, 2),)))], 0),
+            ([(3, CosecantSquaredTerm(6, ((1, 2),)))], -2),
+            # a plain tuple of a term's fields is another kind of term
+            ([(1, CosecantSquaredTerm(6, ((1, 1),))), (1, (6, ((2, 1),)))], 1),
             ([(1, CosecantSquaredTerm(6, ((1, 1),))), (1, CosecantSquaredTerm(7, ((1, 1),)))], 1),
         ],
         ids=["zero", "negative", "scale-0", "scale-negative", "mixed-kinds", "two-moduli"],
     )
     def test_rejects_sums_outside_the_contract(self, monkeypatch, terms, scale):
-        # positive multiplicities of one kind over one modulus at a positive
-        # scale, or a ValueError before any sine is enclosed
+        # positive multiplicities of csc^2 terms over one modulus at a
+        # positive scale, or a ValueError before any sine is enclosed
         def no_sine(*args):
             pytest.fail("a sine was enclosed before the sum was checked")
 
         monkeypatch.setattr(intervals, "sin_enclosure", no_sine)
         _base_scaled.cache_clear()
-        with pytest.raises(ValueError, match="positive multiples of one term kind"):
+        with pytest.raises(ValueError, match=r"positive multiples of csc\^2 terms"):
             evaluate_sum(terms, 1, scale, 0, 2)
 
     def test_rejects_negative_power_or_shift(self):
@@ -325,7 +391,7 @@ class TestEvaluateSum:
             evaluate_sum([], 1, 1, -1, 2)
 
     def test_precision_cap_raises(self):
-        term = SineProductTerm(5, ((1, 1),))
+        term = CosecantSquaredTerm(5, ((1, 1),))
         target = f"exceeds target 1/{1 << 1000} at the precision cap"
         with pytest.raises(CertificationError, match=target):
             evaluate_sum([(1, term)], 1, 1, 0, 1000, max_bits=256)
@@ -347,18 +413,18 @@ class TestEvaluateSum:
         shift=st.integers(0, 6),
         power=st.integers(0, 3),
     )
-    # a scale 3 / 2**2 below 1, and a sine factor 2 sin(pi/7) below 1, at an even power
-    @example(case=(7, SineProductTerm, [(3, [(1, 2)]), (2, [(2, 1)])]), scale=3, shift=2, power=2)
+    # a scale 3 / 2**2 below 1, at an even power
+    @example(case=(7, [(3, [(1, 2)]), (2, [(2, 1)])]), scale=3, shift=2, power=2)
     @settings(max_examples=60, deadline=None)
     def test_one_kind_sums_contain_oracle(self, case, scale, shift, power):
-        modulus, kind, drawn = case
-        terms = [(coeff, kind(modulus, tuple(factors))) for coeff, factors in drawn]
+        modulus, drawn = case
+        terms = [(coeff, CosecantSquaredTerm(modulus, tuple(factors))) for coeff, factors in drawn]
         oracle = Fraction(0)
         for coeff, factors in drawn:
             value = Fraction(coeff)
             for m, e in factors:
                 x = two_sin_fraction(m, modulus, dps=120)
-                value *= (x if kind is SineProductTerm else 4 / x**2) ** (e * power)
+                value *= (4 / x**2) ** (e * power)
             oracle += value
         oracle *= Fraction(scale, 2**shift) ** power
         iv = evaluate_sum(terms, power, scale, shift, 20)
@@ -367,9 +433,9 @@ class TestEvaluateSum:
         assert hi - lo <= Fraction(1, 2**20)
 
     def test_cold_sum_encloses_sines_only_at_its_rung(self, monkeypatch):
-        term = SineProductTerm(7, ((1, 1), (2, 1), (3, 1)))  # sqrt(7)
+        term = CosecantSquaredTerm(7, ((1, 1), (2, 1), (3, 1)))  # 64 / 7
         target = 200
-        assert _first_rung([(1, term)], False, 1, 1, 0, target, 16384) == 256
+        assert _first_rung([(1, term)], 1, 1, 0, target, 16384) == 256
         original = intervals.sin_enclosure
         requested = []
 
@@ -377,13 +443,15 @@ class TestEvaluateSum:
             requested.append(precision_bits)
             return original(m, modulus, precision_bits)
 
-        # a sine product's bases are the sines themselves, so they start cold
+        # the bases are cached above the sines, so all three start cold
+        _base_scaled.cache_clear()
         original.cache_clear()
         _pi_scaled.cache_clear()
         monkeypatch.setattr(intervals, "sin_enclosure", counting)
         try:
             iv = evaluate_sum([(1, term)], 1, 1, 0, target)
         finally:
+            _base_scaled.cache_clear()
             original.cache_clear()
             _pi_scaled.cache_clear()
         assert iv.precision_bits == 256
@@ -407,29 +475,29 @@ class TestEvaluateSum:
         _base_scaled.cache_clear()
         original.cache_clear()
         monkeypatch.setattr(intervals, "sin_enclosure", counting)
-        _sum_scaled(terms, True, 1, 64)
-        _sum_scaled(terms, True, 1, 128)
+        _sum_scaled(terms, 1, 64)
+        _sum_scaled(terms, 1, 128)
         assert sorted(requested) == [(1, 64), (1, 128), (2, 64), (2, 128), (4, 64), (4, 128)]
         # another genus (power) at a rung already seen requests no sine
-        _sum_scaled(terms, True, 2, 64)
+        _sum_scaled(terms, 2, 64)
         assert len(requested) == 6
 
     def test_first_rung_estimates_each_base_once(self):
-        # three tables over the modulus 11 share the offsets 1 and 3; each
-        # distinct (kind, M, m) is estimated once, whatever the power
+        # two tables over the modulus 11 share the offsets 1 and 3; each
+        # distinct (M, m) is estimated once, whatever the power
         first = [
             (2, CosecantSquaredTerm(11, ((1, 2), (3, 1)))),
             (5, CosecantSquaredTerm(11, ((1, 1), (4, 3)))),
         ]
         second = [(1, CosecantSquaredTerm(11, ((3, 4), (5, 1))))]
-        third = [(1, SineProductTerm(11, ((1, 1),)))]
+        third = [(1, CosecantSquaredTerm(13, ((1, 1),)))]
         _base_estimate.cache_clear()
-        rungs = [_first_rung(first, True, power, 1, 0, 2, 16384) for power in (1, 57)]
+        rungs = [_first_rung(first, power, 1, 0, 2, 16384) for power in (1, 57)]
         assert _base_estimate.cache_info().misses == 3
         assert rungs[0] < rungs[1]
-        _first_rung(second, True, 1, 1, 0, 2, 16384)
-        _first_rung(third, False, 1, 1, 0, 2, 16384)
-        # offset 5 is new, and offset 1 as a sine is a new kind
+        _first_rung(second, 1, 1, 0, 2, 16384)
+        _first_rung(third, 1, 1, 0, 2, 16384)
+        # offset 5 is new, and offset 1 over another modulus is a new base
         assert _base_estimate.cache_info().misses == 5
 
     def test_cosecant_factors_are_at_least_one_at_every_lookup_rung(self):
@@ -446,26 +514,25 @@ class TestEvaluateSum:
 
     def test_no_fraction_is_built_below_evaluate_sum(self):
         # A fresh interpreter, so every sine and pi bound is computed cold,
-        # runs sums of both kinds (offset 4 of 8 is the half turn) to an
-        # integer, through every failure message of the kernel, and the
-        # certified pair form; `fractions` is never even imported, so no
+        # runs csc^2 sums (offset 4 of 8 is the half turn) to an integer,
+        # through every failure message of the kernel, and the certified
+        # pair form; `fractions` is never even imported, so no
         # Fraction can have been built.
         code = """
 import sys
 from thetadim import beauville_sum, intervals as iv
 sums = [
     [(1, iv.CosecantSquaredTerm(8, ((1, 2), (4, 3)))), (3, iv.CosecantSquaredTerm(8, ()))],
-    [(2, iv.SineProductTerm(7, ((1, 1), (2, 2), (3, 1))))],
+    [(2, iv.CosecantSquaredTerm(7, ((1, 1), (2, 2), (3, 1))))],
 ]
 for terms in sums:
-    cosecant = type(terms[0][1]) is iv.CosecantSquaredTerm
     for bits in (64, 256):
-        lo, hi, work = iv._sum_scaled(terms, cosecant, 3, bits)
+        lo, hi, work = iv._sum_scaled(terms, 3, bits)
         assert type(lo) is type(hi) is int and lo < hi
     result = iv.evaluate_sum(terms, 2, 5, 3, 2)
     assert all(type(x) is int for x in result)
-full = iv.SineProductTerm(7, tuple((j, 1) for j in range(1, 7)))
-assert iv.certify_integer(iv.evaluate_sum([(1, full)], 1, 1, 0, 2)) == 7
+full = iv.CosecantSquaredTerm(7, tuple((j, 1) for j in range(1, 7)))
+assert iv.certify_integer(iv.evaluate_sum([(1, full)], 1, 7**3, 12, 2)) == 7
 for interval, error in ((iv.CertifiedInterval(1, 9, 4, 64), iv.AmbiguousInterval),
                         (iv.CertifiedInterval(5, 6, 4, 64), iv.NoIntegerInInterval)):
     try:
@@ -473,11 +540,11 @@ for interval, error in ((iv.CertifiedInterval(1, 9, 4, 64), iv.AmbiguousInterval
     except error:
         pass
 try:
-    iv.evaluate_sum([(1, iv.SineProductTerm(5, ((1, 1),)))], 1, 1 << 3000, 0, 2, max_bits=64)
+    iv.evaluate_sum([(1, iv.CosecantSquaredTerm(5, ((1, 1),)))], 1, 1 << 3000, 0, 2, max_bits=64)
 except iv.CertificationError:
     pass
 try:
-    iv.evaluate_sum([(0, iv.SineProductTerm(5, ((1, 1),)))], 1, 1, 0, 2)
+    iv.evaluate_sum([(0, iv.CosecantSquaredTerm(5, ((1, 1),)))], 1, 1, 0, 2)
 except ValueError:
     pass
 assert beauville_sum(12, 5, 5).value > 0
@@ -490,10 +557,10 @@ print(sorted(name for name in sys.modules if name in ("fractions", "decimal")))
         assert proc.stdout == "[]\n"
 
     def test_width_shrinks_when_precision_doubles(self):
-        term = SineProductTerm(7, ((1, 1), (2, 1), (3, 1)))
+        term = CosecantSquaredTerm(7, ((1, 1), (2, 1), (3, 1)))
         widths = []
         for bits in (64, 128, 256):
-            lo, hi, work = _sum_scaled([(1, term)], False, 1, bits)
+            lo, hi, work = _sum_scaled([(1, term)], 1, bits)
             widths.append(Fraction(hi - lo, 1 << work))
         assert widths[0] > widths[1] > widths[2]
 

@@ -7,7 +7,7 @@ import re
 import pytest
 
 from thetadim.checks import CheckFailure, CheckReport, GridBounds, InvolutionTriple
-from thetadim.intervals import CertifiedInterval, SineProductTerm
+from thetadim.intervals import CertifiedInterval, CosecantSquaredTerm
 from thetadim.theta import FormalLineClass, PullbackFactorization, RootEquation, ThetaDescriptor
 from thetadim.verlinde import DimResult, VerlindeQuery
 
@@ -22,8 +22,8 @@ RECORDS = [
      "DimResult(value=4, method='trig-sum', certified=True)"),
     (CertifiedInterval, dict(lo=1, hi=3, scale_bits=2, precision_bits=64),
      "CertifiedInterval(lo=1, hi=3, scale_bits=2, precision_bits=64)"),
-    (SineProductTerm, dict(modulus=5, factors=((2, 2), (4, 1))),
-     "SineProductTerm(modulus=5, factors=((2, 2), (4, 1)))"),
+    (CosecantSquaredTerm, dict(modulus=5, factors=((2, 2), (4, 1))),
+     "CosecantSquaredTerm(modulus=5, factors=((2, 2), (4, 1)))"),
     (ThetaDescriptor, dict(rank=2, det=DET_F),
      "ThetaDescriptor(rank=2, det=FormalLineClass('detF^1'))"),
     (PullbackFactorization, dict(left_exponent=3, right_descriptor=DESCRIPTOR),
@@ -58,10 +58,10 @@ INVALID = [
      "precision_bits must be positive"),
     (CertifiedInterval, dict(lo=0, hi=1, scale_bits=-1, precision_bits=8),
      "scale_bits must be nonnegative"),
-    (SineProductTerm, dict(modulus=0, factors=()), "modulus must be a positive integer"),
-    (SineProductTerm, dict(modulus=5, factors=((1, 1), (10, 2))),
+    (CosecantSquaredTerm, dict(modulus=0, factors=()), "modulus must be a positive integer"),
+    (CosecantSquaredTerm, dict(modulus=5, factors=((1, 1), (10, 2))),
      "offset 10 vanishes modulo 5"),
-    (SineProductTerm, dict(modulus=5, factors=((2, 2), (4, -1))),
+    (CosecantSquaredTerm, dict(modulus=5, factors=((2, 2), (4, -1))),
      "exponents must be nonnegative"),
     (ThetaDescriptor, dict(rank=0, det=DET_F), "rank must be >= 1"),
     (PullbackFactorization, dict(left_exponent=0, right_descriptor=DESCRIPTOR),
@@ -111,7 +111,12 @@ class TestRecord:
         assert record == tuple(record)
 
 
-@pytest.mark.parametrize("cls, fields, message", INVALID, ids=[_id(c) for c in INVALID])
+def _invalid_id(case):
+    # Shortened so that each numbered case's full test name stays within 100 characters.
+    return "CosecantTerm" if case[0] is CosecantSquaredTerm else _id(case)
+
+
+@pytest.mark.parametrize("cls, fields, message", INVALID, ids=[_invalid_id(c) for c in INVALID])
 def test_positional_and_keyword_construction_raise_the_same_error(cls, fields, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         cls(*fields.values())
@@ -130,13 +135,13 @@ def test_check_report_defaults():
 
 
 @pytest.mark.parametrize("build", [
-    lambda: SineProductTerm(5, ((7, 2), (-1, 1), (14, 0))),
-    lambda: SineProductTerm(modulus=5, factors=[(7, 2), (-1, 1), (14, 0)]),
+    lambda: CosecantSquaredTerm(5, ((7, 2), (-1, 1), (14, 0))),
+    lambda: CosecantSquaredTerm(modulus=5, factors=[(7, 2), (-1, 1), (14, 0)]),
 ])
-def test_sine_product_term_reduces_offsets_modulo_the_modulus(build):
+def test_cosecant_squared_term_reduces_offsets_modulo_the_modulus(build):
     term = build()
     assert term.modulus == 5
     assert term.factors == ((2, 2), (4, 1), (4, 0))
     assert type(term.factors) is tuple
-    assert term == SineProductTerm(5, ((2, 2), (4, 1), (4, 0)))
+    assert term == CosecantSquaredTerm(5, ((2, 2), (4, 1), (4, 0)))
 

@@ -34,9 +34,10 @@ README = Path(__file__).resolve().parents[1] / "README.md"
 
 def unreduced_value(g, n, k):
     """s_g from the unreduced reference sum: N_g certified with power g - 1
-    at scale 1, then s_g = N_g * n^g / (n + k)^g, a division that must be
-    exact."""
-    total = certify_integer(evaluate_sum(verlinde_sum_terms(n, k), g - 1, 1, 0, 2))
+    at scale (n + k)^n and shift 2 C(n, 2), then s_g = N_g * n^g / (n + k)^g,
+    a division that must be exact."""
+    terms = verlinde_sum_terms(n, k)
+    total = certify_integer(evaluate_sum(terms, g - 1, (n + k) ** n, 2 * math.comb(n, 2), 2))
     value, remainder = divmod(total * n**g, (n + k) ** g)
     assert remainder == 0, (g, n, k, total)
     return value
@@ -61,13 +62,14 @@ class TestSumTerms:
     def test_subset_count_and_scale(self):
         terms = verlinde_sum_terms(2, 3)
         assert len(terms) == math.comb(5, 2)
-        # every term has rank*level factors, each of exponent 1, and
-        # coefficient 1
-        assert all(c == 1 and len(t.factors) == 6 for c, t in terms)
+        # every term has one factor per pair of its subset, of exponent 1,
+        # and coefficient 1; the subsets come in lexicographic order
+        assert all(c == 1 and len(t.factors) == math.comb(2, 2) for c, t in terms)
         assert all(e == 1 for _, t in terms for _, e in t.factors)
-        # at genus 2 (power 1) and scale 1 the sum is N_2 = s_2 * (5/2)^2,
-        # and the scale (2/5)^2 divides it exactly
-        total = certify_integer(evaluate_sum(terms, 1, 1, 0, 2))
+        assert [t.factors[0][0] for _, t in terms] == [1, 2, 3, 4, 1, 2, 3, 1, 2, 1]
+        # at genus 2 (power 1), scale 5^2 and shift 2 the sum is
+        # N_2 = s_2 * (5/2)^2, and the scale (2/5)^2 divides it exactly
+        total = certify_integer(evaluate_sum(terms, 1, 5**2, 2, 2))
         assert total == 125
         assert divmod(total * 2**2, 5**2) == (20, 0)
 
@@ -75,7 +77,7 @@ class TestSumTerms:
         # at genus 1 the power is 0, so every term is 1 and N_1 counts the
         # C(5, 3) subsets; s_1 = N_1 * 3/5
         terms = verlinde_sum_terms(3, 2)
-        total = certify_integer(evaluate_sum(terms, 0, 1, 0, 2))
+        total = certify_integer(evaluate_sum(terms, 0, 5**3, 6, 2))
         assert total == math.comb(5, 3)
         assert unreduced_value(1, 3, 2) == 6
 
@@ -115,7 +117,7 @@ class TestBeauvilleSum:
     )
     @settings(max_examples=60, deadline=None)
     def test_pair_form_equals_unreduced_reference(self, g, nk):
-        # the reference sums all n-subsets of Z/(n + k) as sine products and
+        # the reference sums all n-subsets of Z/(n + k) as csc^2 products and
         # shares no reduction with the pair form behind beauville_sum
         n, k = nk
         assert beauville_sum(g, n, k).value == unreduced_value(g, n, k)
