@@ -149,12 +149,16 @@ class CosecantSquaredTerm(namedtuple("CosecantSquaredTerm", "modulus factors")):
 def _arctan_inv_scaled(x: int, work_bits: int) -> tuple[int, int]:
     """Integer bounds with arctan(1/x) in [lo, hi] / 2**work_bits.
 
-    Each term a_k = 1/((2k+1) x^(2k+1)) is enclosed by its floor at the
-    working scale, and the alternating tail is below the first term with
-    floor zero, so widening by one unit covers it.  The floor is taken as
+    Each term a_k = 1/((2k+1) x^(2k+1)) is enclosed at the working scale
+    by its floor and the floor plus one.  The floor is taken as
     floor(q_k / (2k+1)) of the running quotient q_k = floor(2**work_bits /
     x^(2k+1)), q_(k+1) = floor(q_k / x^2): floors of positive integers
-    nest, so every division is by a small integer.
+    nest, so every division is by a small integer.  The series stops right
+    after the first term a_K whose floor is 0, and that term's rounding
+    already covers the tail: the tail after a_K is smaller than a_K and of
+    the opposite sign, so arctan(1/x) lies between the partial sums through
+    a_(K-1) and through a_K, and the bounds hold both, since a_K moved one
+    of them by 0 and the other by one unit, more than a_K.
     """
     quotient = (1 << work_bits) // x
     x_squared = x * x
@@ -170,7 +174,7 @@ def _arctan_inv_scaled(x: int, work_bits: int) -> tuple[int, int]:
             lo -= term + 1
             hi -= term
         if term == 0:
-            return lo - 1, hi + 1
+            return lo, hi
         quotient //= x_squared
         k += 1
         positive = not positive

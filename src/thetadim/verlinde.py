@@ -53,8 +53,10 @@ MAX_SUM_TERMS = 100_000
 #: pair), so the bound is kept as a conservative count of the walk.
 #: Beyond it the table is refused as unsupported before any term is built.
 #: The pairs grow like n^3 at level 1, where the subset count alone is only
-#: n; the digits grow like k^2 at rank 2, where there is one pair, though
-#: rank 2 needs no walk: there the bound only keeps one rule for all ranks.
+#: n; the digits grow like k^2 at rank 2, where there is one pair.  Rank 2
+#: needs no walk, but its table's floor(M/2) terms are evaluated at a rung
+#: that climbs with g and k, so there this bound, refusing levels from
+#: 9,998 up, is what limits evaluation time.
 MAX_PAIR_UPDATES = 50_000_000
 
 # The enclosure width 2**-_CERTIFY_BITS at which a sum is certified: 1/4,
@@ -228,9 +230,9 @@ def reduced_sum_terms(n: int, k: int) -> tuple[tuple[int, CosecantSquaredTerm], 
             for a in range(1, modulus // 2 + 1)
         )
     # A profile is packed into one integer, c_d in the digit of `width`
-    # bits at position d.  A count never exceeds the C(n, 2) pairs, nor n,
-    # since each element of S has at most two partners at offset d.
-    width = min(n, math.comb(n, 2)).bit_length()
+    # bits at position d.  A count never exceeds n, since each element of
+    # S has at most two partners at offset d.
+    width = n.bit_length()
     mask = (1 << width) - 1
     # step[j - 1] packs one pair at offset j, for 0 < j < M
     step = [1 << (width * min(j, modulus - j)) for j in range(1, modulus)]

@@ -89,12 +89,14 @@ class TestDim:
                             r"target 1/4 at the precision cap \(64 bits\)\n", err), err
 
     def test_certification_failure_before_any_genus_sized_integer(self, capsys):
-        # genus 10**7: the kernel gets the genus-free scale 2 * 3 and shift 2,
-        # so the estimate fails before the 26-megabit 6**(g - 1) could exist
-        code, _, err = run_cli(capsys, "dim", "sl", "-g", "10000000", "-n", "2",
-                               "-d", "0", "-k", "1")
-        assert code == EXIT_CERTIFICATION
-        assert err.startswith("certification failed: estimated width 2**"), err
+        # genus 10**6 and 10**7: the kernel gets the genus-free scale 2 * 3 and
+        # shift 2, so the estimate fails before 6**(g - 1) could exist (at
+        # 10**7 a 26-megabit integer)
+        for genus in ("1000000", "10000000"):
+            code, _, err = run_cli(capsys, "dim", "sl", "-g", genus, "-n", "2",
+                                   "-d", "0", "-k", "1")
+            assert code == EXIT_CERTIFICATION
+            assert err.startswith("certification failed: estimated width 2**"), err
 
     @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
                         reason="no int-to-str digit limit")
@@ -510,20 +512,26 @@ class TestImportSurface:
             (["table", "-g", "2"], set()),
             (["frobnicate"], {"argparse"}),
             (["factor", "rescale", "--rkF", "2", "--rkF0", "1"], {"thetadim.theta"}),
+            (["factor", "rescale", "--rkF", "2"], {"thetadim.theta"}),
             (["check", "elliptic"], {"thetadim.checks", "thetadim.theta"}),
         ],
-        ids=["dim", "table", "usage-error", "factor", "check"],
+        ids=["dim", "table", "usage-error", "factor", "factor-missing-flag", "check"],
     )
     def test_each_subcommand_loads_only_what_it_uses(self, argv, wanted):
         # well-formed argv is read from the command table; argparse, and the
-        # gettext and locale it imports, load only to print a usage error;
-        # a csv table is joined by hand, never through the csv module
+        # gettext and locale it imports, load only to print a usage error,
+        # and a factor subject missing a flag it needs is refused from the
+        # flag table without it; a csv table is joined by hand, never
+        # through the csv module; no subcommand builds a dataclass or a
+        # Fraction
         loaded = _modules_loaded_by(
             f"import contextlib, io\nfrom thetadim.cli import main\n"
             f"with contextlib.redirect_stdout(io.StringIO()), "
             f"contextlib.redirect_stderr(io.StringIO()):\n    main({argv!r})"
         )
-        assert loaded & {"thetadim.checks", "thetadim.theta", "argparse", "csv"} == wanted
+        checked = {"thetadim.checks", "thetadim.theta", "argparse", "csv", "dataclasses",
+                   "fractions"}
+        assert loaded & checked == wanted
         if "argparse" not in wanted:
             assert not loaded & {"gettext", "locale"}
 

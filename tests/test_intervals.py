@@ -396,6 +396,28 @@ class TestEvaluateSum:
         with pytest.raises(CertificationError, match=target):
             evaluate_sum([(1, term)], 1, 1, 0, 1000, max_bits=256)
 
+    def test_ladder_doubles_when_a_rung_misses(self, monkeypatch):
+        # the pair-form table of (n, k) = (3, 1) at genus 90: power 89, scale
+        # 3 * 4**2, shift 2 * C(3, 2), value 3**90; its estimate starts at
+        # 128 bits, so a first rung of 64 must miss and the ladder climb
+        table = [(3, CosecantSquaredTerm(4, ((1, 2), (2, 1))))]
+        assert _first_rung(table, 89, 48, 6, 2, 16384) == 128
+        tried = []
+
+        def recording(prepared, power, precision):
+            tried.append(precision)
+            return _sum_scaled(prepared, power, precision)
+
+        monkeypatch.setattr(intervals, "_first_rung", lambda *args: 64)
+        monkeypatch.setattr(intervals, "_sum_scaled", recording)
+        iv = evaluate_sum(table, 89, 48, 6, 2)
+        assert (iv.precision_bits, certify_integer(iv), tried) == (128, 3**90, [64, 128])
+        # under a 96-bit cap the doubled rung is clamped to the cap, and fails there
+        tried.clear()
+        with pytest.raises(CertificationError, match=r"at the precision cap \(96 bits\)"):
+            evaluate_sum(table, 89, 48, 6, 2, max_bits=96)
+        assert tried == [64, 96]
+
     def test_hopeless_estimate_forms_no_power_of_the_scale(self):
         # the term is 1, so only the scale is hopeless: (6 / 4)**(10**7) has
         # about 5.8 million bits, far past the 16384-bit cap, and the

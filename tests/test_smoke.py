@@ -1,4 +1,4 @@
-"""Large-cell smokes: the installed command line on cells whose answers are
+"""Large-cell smokes: `python -m thetadim.cli` on cells whose answers are
 known in closed form, each in a fresh process under a wall-clock timeout."""
 
 import json
@@ -33,8 +33,11 @@ def _cli(argv, timeout):
         (90, 3, 1, 5, 3**90),
         # genus 1 is the closed form C(h+k-1, k) past the subset bound
         (1, 12, 12, 5, 1352078),
+        # the level-one law s(4, 0, 1) = 4^g at genus 2000, a 4001-bit value
+        # certified with 4,096-bit sines
+        (2000, 4, 1, 5, 4**2000),
     ],
-    ids=["2-10-10", "2-2-2000", "90-3-1", "1-12-12"],
+    ids=["2-10-10", "2-2-2000", "90-3-1", "1-12-12", "2000-4-1"],
 )
 def test_large_cell_prints_its_value(g, n, k, timeout, value):
     argv = ["dim", "sl", "-g", str(g), "-n", str(n), "-d", "0", "-k", str(k)]
