@@ -197,18 +197,20 @@ def _degrees(bounds: GridBounds):
     return range(-bounds.max_abs_degree, bounds.max_abs_degree + 1)
 
 
-# check name -> (sides, genera swept, degrees swept).  Bott-Szenes needs
-# genus >= 2; elliptic always runs at genus 1; both are degree-0 identities.
+# check name -> (sides, genera swept, degrees swept, report note).
+# Bott-Szenes needs genus >= 2; elliptic always runs at genus 1; both are
+# degree-0 identities.
 _CHECKS = {
-    "theorem1": (_theorem1_sides, _genera, _degrees),
-    "involution": (_involution_sides, _genera, _degrees),
+    "theorem1": (_theorem1_sides, _genera, _degrees, ""),
+    "involution": (_involution_sides, _genera, _degrees, ""),
     "bott-szenes": (
         _bott_szenes_sides,
         lambda b: range(max(b.genus_min, 2), b.genus_max + 1),
         lambda b: (0,),
+        "",
     ),
-    "duality": (_duality_sides, _genera, _degrees),
-    "elliptic": (_elliptic_sides, lambda b: (1,), lambda b: (0,)),
+    "duality": (_duality_sides, _genera, _degrees, _DUALITY_NOTE),
+    "elliptic": (_elliptic_sides, lambda b: (1,), lambda b: (0,), ""),
 }
 
 CHECK_NAMES = tuple(_CHECKS)
@@ -256,7 +258,7 @@ def grid_sweep(
     """
     if check not in _CHECKS:
         raise ValueError(f"unknown check {check!r}; expected one of {CHECK_NAMES}")
-    _, genera, degrees = _CHECKS[check]
+    _, genera, degrees, note = _CHECKS[check]
     # (n, k) outermost, so a cell's genera follow each other and share its
     # table in `verlinde.reduced_sum_terms`, whatever the size of the grid
     grid = itertools.product(
@@ -282,7 +284,7 @@ def grid_sweep(
         if failure:
             failures.append(failure)
 
-    name, note = check, _DUALITY_NOTE if check == "duality" else ""
+    name = check
     if negative_control:
         name += " [negative-control]"
         note = (note + "; " if note else "") + "right-hand sides deliberately perturbed"

@@ -40,12 +40,13 @@ precision cap (16384 bits)"; a check sweep with no failure but an
 instance that missed the target at the cap prints its report, which
 names such instances as uncertified, and exits 3 with status
 UNCERTIFIED), 64 usage error (including an unknown check name, a
-`--max-precision-bits` below 1 and `factor` ranks below 1).  The
-`thetadim` entry point (`run`) restores the default SIGPIPE disposition
-where the platform has one, so a reader that closes stdout early
-(`thetadim table ... | head`) ends the process quietly by that signal, as
-it ends Unix filters, rather than with a traceback and exit 1; `main`
-itself leaves signal handling to its caller.
+`--max-precision-bits` below 1, and `factor` ranks or a `factor
+jacobian` genus below 1).  The `thetadim` entry point (`run`) restores
+the default SIGPIPE disposition where the platform has one, so a reader
+that closes stdout early (`thetadim table ... | head`) ends the process
+quietly by that signal, as it ends Unix filters, rather than with a
+traceback and exit 1; `main` itself leaves signal handling to its
+caller.
 """
 
 import signal
@@ -135,13 +136,7 @@ def _cmd_dim(args) -> int:
     if args.format == "json":
         import json
         record = {
-            "query": {
-                "genus": args.genus,
-                "rank": args.rank,
-                "degree": args.degree,
-                "level": args.level,
-                "kind": args.kind,
-            },
+            "query": {**query._asdict(), "kind": args.kind},
             "value": str(result.value),
             "method": result.method,
             "certified": result.certified,
@@ -260,17 +255,15 @@ def _cmd_factor(args) -> int:
             print(f"a={a}, twist={twist.format(explicit_exponents=True)}")
         else:  # jacobian
             g, n, d = args.genus, args.rank, args.degree
-            if g < 1 or n < 1:
-                print("thetadim factor jacobian: error: genus and rank must be >= 1",
-                      file=sys.stderr)
-                return EXIT_USAGE
             _, d_F = complementary_invariants(g, n, d, 1)
             L = FormalLineClass.symbol("L", degree=d)
             detF = FormalLineClass.symbol("detF", degree=d_F)
             exponent, equation = jacobian_pullback(g, n, d, L, detF)
             print(f"exponent {exponent}, constraint {equation}, "
                   f"degree check {n * (g - 1)} = {equation.rhs.degree}")
-    except ValueError as exc:  # a rank below 1, rejected by the theta layer
+    except ValueError as exc:
+        # the theta layer's guards: a rank below 1 and, for the Jacobian,
+        # complementary_invariants' "genus and rank must be >= 1"
         print(f"thetadim factor {args.subject}: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (NotAMultiple, NonIntegralExponent, DegreeMismatch) as exc:

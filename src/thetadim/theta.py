@@ -2,7 +2,9 @@
 
 Line bundles are modeled as elements of the free abelian group on named
 symbols ("L1", "detF", ...), each symbol carrying an integer degree on the
-curve; the total degree is then a group homomorphism.  A theta bundle on a
+curve; the total degree is then a group homomorphism.  A class is one
+sorted tuple of (symbol, exponent, degree) triples, so each symbol's degree
+travels with its exponent through products and powers.  A theta bundle on a
 full moduli space is determined by the rank of its twisting bundle together
 with the formal class of its determinant, and the identities implemented
 here are pure exponent bookkeeping on these data:
@@ -41,12 +43,13 @@ class DegreeMismatch(Exception):
 class FormalLineClass:
     """Element of the free abelian group on named line-bundle symbols.
 
-    The canonical form drops zero exponents and keeps degrees only for the
-    symbols present, so structural equality decides identity.  Missing
-    degrees default to 0.
+    The class is one tuple of (symbol, exponent, degree) triples, sorted by
+    symbol, with zero exponents dropped; a symbol's degree is kept only
+    while its exponent is nonzero, so structural equality decides
+    identity.  Missing degrees default to 0.
     """
 
-    __slots__ = ("_exponents", "_degrees")
+    __slots__ = ("_terms",)
 
     def __init__(
         self,
@@ -55,9 +58,8 @@ class FormalLineClass:
     ):
         exponents = dict(exponents or {})
         degrees = dict(degrees or {})
-        kept = {name: e for name, e in exponents.items() if e != 0}
-        self._exponents = tuple(sorted(kept.items()))
-        self._degrees = tuple(sorted((name, int(degrees.get(name, 0))) for name in kept))
+        terms = ((name, e, int(degrees.get(name, 0))) for name, e in exponents.items() if e != 0)
+        self._terms = tuple(sorted(terms))
 
     @classmethod
     def symbol(cls, name: str, degree: int = 0) -> "FormalLineClass":
@@ -66,32 +68,29 @@ class FormalLineClass:
     @property
     def degree(self) -> int:
         """Total degree: the group homomorphism sum(exponent * degree(symbol))."""
-        degrees = dict(self._degrees)
-        return sum(e * degrees[name] for name, e in self._exponents)
+        return sum(e * d for _, e, d in self._terms)
 
     def __mul__(self, other: "FormalLineClass") -> "FormalLineClass":
         if not isinstance(other, FormalLineClass):
             return NotImplemented
-        degrees = dict(self._degrees)
-        for name, d in other._degrees:
-            if name in degrees and degrees[name] != d:
+        exponents, degrees = {}, {}
+        for name, e, d in self._terms + other._terms:
+            if degrees.setdefault(name, d) != d:
                 raise ValueError(f"conflicting degrees for symbol {name!r}")
-            degrees[name] = d
-        exponents = dict(self._exponents)
-        for name, e in other._exponents:
             exponents[name] = exponents.get(name, 0) + e
         return FormalLineClass(exponents, degrees)
 
     def __pow__(self, e: int) -> "FormalLineClass":
-        return FormalLineClass({name: x * e for name, x in self._exponents}, dict(self._degrees))
+        return FormalLineClass({name: x * e for name, x, _ in self._terms},
+                               {name: d for name, _, d in self._terms})
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, FormalLineClass):
             return NotImplemented
-        return self._exponents == other._exponents and self._degrees == other._degrees
+        return self._terms == other._terms
 
     def __hash__(self) -> int:
-        return hash((self._exponents, self._degrees))
+        return hash(self._terms)
 
     def format(self, explicit_exponents: bool = False) -> str:
         """Dotted rendering, symbols sorted by name: ``L1^1.detF^2``.
@@ -99,15 +98,10 @@ class FormalLineClass:
         The compact form (default) drops exponent 1; the identity prints as
         ``O`` either way.
         """
-        if not self._exponents:
+        if not self._terms:
             return "O"
-        parts = []
-        for name, e in self._exponents:
-            if e == 1 and not explicit_exponents:
-                parts.append(name)
-            else:
-                parts.append(f"{name}^{e}")
-        return ".".join(parts)
+        return ".".join(name if e == 1 and not explicit_exponents else f"{name}^{e}"
+                        for name, e, _ in self._terms)
 
     def __str__(self) -> str:
         return self.format()
@@ -159,8 +153,10 @@ def complementary_invariants(g: int, n: int, d: int, k: int) -> tuple[int, int]:
     invariants are (k*nbar, k*(nbar*(g-1) - dbar)); the Euler pairing
     n*d_F + n_F*(d - n*(g-1)) then vanishes identically.
     """
-    if g < 1 or n < 1 or k < 1:
-        raise ValueError("genus, rank and multiplier must all be >= 1")
+    if g < 1 or n < 1:
+        raise ValueError("genus and rank must be >= 1")
+    if k < 1:
+        raise ValueError("multiplier must be >= 1")
     h = math.gcd(n, d)
     nbar, dbar = n // h, d // h
     rank = k * nbar

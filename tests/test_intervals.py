@@ -121,6 +121,26 @@ class TestSinEnclosure:
         with pytest.raises(ValueError):
             sin_enclosure(m, modulus, 64)
 
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            pytest.param(lambda: sin_enclosure(1, 5, 0), "precision_bits must be positive",
+                         id="precision-0"),
+            # sin(pi / 2**50), about 2**-48.3, floors to 0 at the scale 2**-(1 + _GUARD_BITS)
+            pytest.param(lambda: sin_enclosure(1, 2**50, 1),
+                         "modulus too large for this working precision", id="modulus-2**50"),
+            pytest.param(lambda: _sin_series_scaled(1, 0, 8),
+                         r"series argument must lie in \[0, 2\]", id="series-den-0"),
+            pytest.param(lambda: _sin_series_scaled(-1, 1, 8),
+                         r"series argument must lie in \[0, 2\]", id="series-negative"),
+            pytest.param(lambda: _sin_series_scaled(3 << 8, 1, 8),
+                         r"series argument must lie in \[0, 2\]", id="series-above-2"),
+        ],
+    )
+    def test_guards_raise_their_messages(self, call, message):
+        with pytest.raises(ValueError, match=message):
+            call()
+
     @given(
         modulus=st.integers(2, 40),
         m=st.integers(1, 39),
@@ -389,6 +409,8 @@ class TestEvaluateSum:
             evaluate_sum([], -1, 1, 0, 2)
         with pytest.raises(ValueError, match="shift must be nonnegative"):
             evaluate_sum([], 1, 1, -1, 2)
+        with pytest.raises(ValueError, match="max_bits must be positive"):
+            evaluate_sum([], 1, 1, 0, 2, max_bits=0)
 
     def test_precision_cap_raises(self):
         term = CosecantSquaredTerm(5, ((1, 1),))

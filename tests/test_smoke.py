@@ -1,9 +1,11 @@
 """Large-cell smokes: `python -m thetadim.cli` on cells whose answers are
-known in closed form, each in a fresh process under a wall-clock timeout."""
+known in closed form, each in a fresh process under a wall-clock timeout;
+and the benchmark's own self-test, `perfbench/selftest.py`."""
 
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -56,3 +58,13 @@ def test_sweep_past_the_cap_names_its_uncertified_inputs():
     inputs = json.loads(out)["uncertified"]
     assert len(inputs) == 141
     assert all(len(i) == 4 and 2 <= i[0] <= 40 for i in inputs), inputs
+
+
+def test_benchmark_self_test_passes():
+    # the benchmark's tracer wraps engine, dispatch and CLI functions by name,
+    # so a rename there fails here rather than in the next benchmark run
+    proc = subprocess.run(
+        [sys.executable, "perfbench/selftest.py"],
+        cwd=Path(__file__).resolve().parents[1], capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr[-4000:]

@@ -39,6 +39,7 @@ class TestFormalLineClass:
         one = FormalLineClass()
         assert one == FormalLineClass({"L": 0}, {"L": 3})
         assert one != FormalLineClass.symbol("L")
+        assert not one == 3
         assert one.degree == 0
         assert str(one) == "O"
 
@@ -58,6 +59,9 @@ class TestFormalLineClass:
         b = FormalLineClass.symbol("L", degree=2)
         with pytest.raises(ValueError):
             a * b
+        # refused even when the exponents of the symbol cancel
+        with pytest.raises(ValueError, match="conflicting degrees for symbol 'L'"):
+            a * b**-1
 
     def test_format_modes(self):
         cls = FormalLineClass({"L1": 1, "detF": 2})
@@ -74,6 +78,7 @@ class TestFormalLineClass:
     def test_abelian_group_laws(self, a, b, c):
         assert (a * b) * c == a * (b * c)
         assert a * b == b * a
+        assert hash(a * b) == hash(b * a)
         assert a * FormalLineClass() == a
         assert a * a**-1 == FormalLineClass()
         assert (a * b).degree == a.degree + b.degree
@@ -230,3 +235,28 @@ class TestDescriptors:
         det = FormalLineClass.symbol("detF", degree=1)
         assert ThetaDescriptor(2, det) == ThetaDescriptor(2, FormalLineClass.symbol("detF", degree=1))
         assert ThetaDescriptor(2, det) != ThetaDescriptor(3, det)
+
+
+_L = FormalLineClass.symbol("L")
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        pytest.param(lambda: complementary_invariants(0, 2, 0, 1), ValueError,
+                     "genus and rank must be >= 1", id="complementary-genus"),
+        pytest.param(lambda: complementary_invariants(2, 0, 0, 1), ValueError,
+                     "genus and rank must be >= 1", id="complementary-rank"),
+        pytest.param(lambda: complementary_invariants(2, 2, 0, 0), ValueError,
+                     "multiplier must be >= 1", id="complementary-multiplier"),
+        pytest.param(lambda: jacobian_pullback(0, 2, 0, _L, _L), ValueError,
+                     "genus and rank must be >= 1", id="jacobian-genus"),
+        pytest.param(lambda: jacobian_pullback(2, 0, 0, _L, _L), ValueError,
+                     "genus and rank must be >= 1", id="jacobian-rank"),
+        pytest.param(lambda: FormalLineClass() * 3, TypeError,
+                     "unsupported operand", id="product-with-int"),
+    ],
+)
+def test_guards_raise_their_messages(call, error, message):
+    with pytest.raises(error, match=message):
+        call()

@@ -73,6 +73,12 @@ class TestSumTerms:
         assert total == 125
         assert divmod(total * 2**2, 5**2) == (20, 0)
 
+    @pytest.mark.parametrize("table", [verlinde_sum_terms, reduced_sum_terms])
+    @pytest.mark.parametrize("n,k", [(0, 2), (2, 0), (-1, -1)])
+    def test_rejects_rank_or_level_below_one(self, table, n, k):
+        with pytest.raises(ValueError, match="rank and level must both be >= 1"):
+            table(n, k)
+
     def test_genus_one_power_zero_counts_subsets(self):
         # at genus 1 the power is 0, so every term is 1 and N_1 counts the
         # C(5, 3) subsets; s_1 = N_1 * 3/5
@@ -317,6 +323,9 @@ class TestClosedForms:
         assert symmetric_power_dim(0, 0) == 1
         assert symmetric_power_dim(5, 0) == 1
         assert symmetric_power_dim(0, 4) == 0
+        for m, k in [(-1, 2), (2, -1)]:
+            with pytest.raises(ValueError, match="arguments must be nonnegative"):
+                symmetric_power_dim(m, k)
 
     def test_symmetric_power_rows(self):
         for m in range(1, 21):
