@@ -11,32 +11,32 @@ forms.
 
 from importlib import import_module
 
-from .intervals import (
-    DEFAULT_MAX_PRECISION_BITS,
-    AmbiguousInterval,
-    CertificationError,
-    CertifiedInterval,
-    CosecantSquaredTerm,
-    NoIntegerInInterval,
-    certify_integer,
-    evaluate_sum,
-)
-from .verlinde import (
-    DimResult,
-    IntegralityViolation,
-    UnsupportedQuery,
-    VerlindeQuery,
-    beauville_sum,
-    gl_dim,
-    reduced_sum_terms,
-    sl_dim,
-    symmetric_power_dim,
-)
-
-# The identity checks and the symbolic theta layer are imported on first
-# use of one of their names (PEP 562), so a dimension lookup never compiles
-# them; each name is then cached in this module's globals.
-_LAZY = {
+# Each public name, once, under the module that defines it.  The dimension
+# engine (`intervals`, `verlinde`) is bound at import; the identity checks
+# and the symbolic theta layer are imported on first use of one of their
+# names (PEP 562), so a dimension lookup never compiles them.
+_EXPORTS = {
+    "intervals": (
+        "DEFAULT_MAX_PRECISION_BITS",
+        "AmbiguousInterval",
+        "CertificationError",
+        "CertifiedInterval",
+        "CosecantSquaredTerm",
+        "NoIntegerInInterval",
+        "certify_integer",
+        "evaluate_sum",
+    ),
+    "verlinde": (
+        "DimResult",
+        "IntegralityViolation",
+        "UnsupportedQuery",
+        "VerlindeQuery",
+        "beauville_sum",
+        "gl_dim",
+        "reduced_sum_terms",
+        "sl_dim",
+        "symmetric_power_dim",
+    ),
     "checks": (
         "CHECK_NAMES",
         "CheckFailure",
@@ -60,55 +60,30 @@ _LAZY = {
         "theta_rescale",
     ),
 }
-_HOME = {name: home for home, names in _LAZY.items() for name in names}
+_HOME = {name: home for home, names in _EXPORTS.items() for name in names}
+__all__ = sorted(_HOME)
+
+
+def _bind(namespace: dict, home: str) -> None:
+    """Put the names that module `home` exports into `namespace`, keeping any
+    name already bound there, such as a wrapper set by a tracer; the package
+    and `thetadim.cli` both bind their names through it."""
+    module = import_module(f".{home}", __name__)
+    for name in _EXPORTS[home]:
+        namespace.setdefault(name, getattr(module, name))
+
+
+_bind(globals(), "intervals")
+_bind(globals(), "verlinde")
 
 
 def __getattr__(name):
     home = _HOME.get(name)
     if home is None:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = globals()[name] = getattr(import_module(f".{home}", __name__), name)
-    return value
+    _bind(globals(), home)
+    return globals()[name]
 
 
 def __dir__():
     return sorted(set(globals()) | set(__all__))
-
-
-__all__ = [
-    "AmbiguousInterval",
-    "CHECK_NAMES",
-    "CertificationError",
-    "CertifiedInterval",
-    "CheckFailure",
-    "CheckReport",
-    "CosecantSquaredTerm",
-    "DEFAULT_MAX_PRECISION_BITS",
-    "DegreeMismatch",
-    "DimResult",
-    "FormalLineClass",
-    "GridBounds",
-    "IntegralityViolation",
-    "InvolutionTriple",
-    "NoIntegerInInterval",
-    "NonIntegralExponent",
-    "NotAMultiple",
-    "PullbackFactorization",
-    "RootEquation",
-    "ThetaDescriptor",
-    "UnsupportedQuery",
-    "VerlindeQuery",
-    "beauville_sum",
-    "certify_integer",
-    "complementary_invariants",
-    "evaluate_sum",
-    "gl_dim",
-    "grid_sweep",
-    "involution",
-    "jacobian_pullback",
-    "pullback_split",
-    "reduced_sum_terms",
-    "sl_dim",
-    "symmetric_power_dim",
-    "theta_rescale",
-]

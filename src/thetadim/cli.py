@@ -10,9 +10,9 @@ Only the dimension engine (`intervals`, `verlinde`) is imported at start-up.
 `check` imports `checks` (and through it `theta`) and `factor` imports
 `theta`, each when it parses or runs, so `dim`, `table` and usage errors
 compile neither.  The names taken from those two modules are module
-attributes resolved on first use (PEP 562) through the package's lazy-name
-table, and the handlers call whatever this module holds under each name at
-call time.
+attributes resolved on first use (PEP 562) through the package's export
+table and binder, and the handlers call whatever this module holds under
+each name at call time.
 
 Each subcommand's options are declared once, in the command table
 `_COMMANDS`.  Well-formed argv is read from that table without argparse;
@@ -51,10 +51,9 @@ caller.
 
 import signal
 import sys
-from importlib import import_module
 from types import SimpleNamespace
 
-from . import _HOME, _LAZY
+from . import _HOME, _bind
 from .intervals import DEFAULT_MAX_PRECISION_BITS, CertificationError, NoIntegerInInterval
 from .verlinde import IntegralityViolation, UnsupportedQuery, VerlindeQuery, gl_dim, sl_dim
 
@@ -73,19 +72,11 @@ _CHECK_EXITS = {
 }
 
 
-def _bind(home: str) -> None:
-    """Put the package's lazy names from `home` into this module's globals,
-    keeping any name already bound here, such as a wrapper set by a tracer."""
-    module = import_module(f".{home}", __package__)
-    for name in _LAZY[home]:
-        globals().setdefault(name, getattr(module, name))
-
-
 def __getattr__(name):
     home = _HOME.get(name)
-    if home is None:
+    if home not in ("checks", "theta"):
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    _bind(home)
+    _bind(globals(), home)
     return globals()[name]
 
 
@@ -118,7 +109,7 @@ def _precision_bits(text: str) -> int:
 
 
 def _check_name(text: str) -> str:
-    _bind("checks")
+    _bind(globals(), "checks")
     if text not in CHECK_NAMES:
         choices = ", ".join(map(repr, CHECK_NAMES))
         raise _type_error(f"invalid choice: {text!r} (choose from {choices})")
@@ -163,7 +154,7 @@ def _render_report_text(report) -> str:
 
 
 def _cmd_check(args) -> int:
-    _bind("checks")
+    _bind(globals(), "checks")
     lo, hi = args.genus_range
     try:
         bounds = GridBounds(
@@ -235,7 +226,7 @@ def _cmd_table(args) -> int:
 
 
 def _cmd_factor(args) -> int:
-    _bind("theta")
+    _bind(globals(), "theta")
     missing = [f"--{flag}" for flag in _FACTOR_FLAGS[args.subject] if getattr(args, flag) is None]
     if missing:
         print(f"thetadim factor {args.subject}: error: missing", *missing, file=sys.stderr)

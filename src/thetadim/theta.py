@@ -46,7 +46,8 @@ class FormalLineClass:
     The class is one tuple of (symbol, exponent, degree) triples, sorted by
     symbol, with zero exponents dropped; a symbol's degree is kept only
     while its exponent is nonzero, so structural equality decides
-    identity.  Missing degrees default to 0.
+    identity.  Missing degrees default to 0.  Exponents, degrees and powers
+    are ints; any other type, bool included, raises TypeError.
     """
 
     __slots__ = ("_terms",)
@@ -58,7 +59,9 @@ class FormalLineClass:
     ):
         exponents = dict(exponents or {})
         degrees = dict(degrees or {})
-        terms = ((name, e, int(degrees.get(name, 0))) for name, e in exponents.items() if e != 0)
+        if any(type(x) is not int for x in [*exponents.values(), *degrees.values()]):
+            raise TypeError("exponents and degrees must be ints")
+        terms = ((name, e, degrees.get(name, 0)) for name, e in exponents.items() if e != 0)
         self._terms = tuple(sorted(terms))
 
     @classmethod
@@ -81,6 +84,8 @@ class FormalLineClass:
         return FormalLineClass(exponents, degrees)
 
     def __pow__(self, e: int) -> "FormalLineClass":
+        if type(e) is not int:
+            return NotImplemented
         return FormalLineClass({name: x * e for name, x, _ in self._terms},
                                {name: d for name, _, d in self._terms})
 

@@ -603,6 +603,13 @@ class TestLazyPackage:
 
 
 class TestPublicSurface:
+    def test_each_public_name_is_exported_once(self):
+        # one export table: a name listed under two modules would have two
+        # homes, and import order would decide which one binds it
+        names = [name for names in thetadim._EXPORTS.values() for name in names]
+        assert len(names) == len(set(names))
+        assert thetadim.__all__ == sorted(names)
+
     def test_every_public_name_has_a_caller_in_the_package(self):
         # names loaded in code, so a mention in a docstring is not a caller
         package = Path(thetadim.__file__).parent

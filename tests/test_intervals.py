@@ -1,9 +1,11 @@
-"""Kernel tests: pi and sine enclosures, sum evaluation, integer certification."""
+"""Kernel tests: pi and sine enclosures, sum evaluation, integer certification,
+and the mutation gate over the kernel's directed roundings."""
 
 import math
 import os
 import subprocess
 import sys
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from pathlib import Path
 from unittest import mock
@@ -35,6 +37,7 @@ from thetadim.intervals import (
     evaluate_sum,
     sin_enclosure,
 )
+from mutants import INTERVAL_FLIPS
 from trig_oracle import pi_fraction, two_sin_fraction
 
 # Allows for the oracle's own ~10**-78 rounding; anything a real defect
@@ -230,8 +233,8 @@ _RATIONAL_COSECANTS = {Fraction(1, 6): 4, Fraction(1, 4): 2, Fraction(1, 3): Fra
 
 class TestRoundingSpecs:
     """Each primitive against its own specification at its smallest working
-    scales, 4 to 24 bits or, for the kernel's bases and sums, the 33 to 56
-    bits of precisions 1 to 24, where a rounding turned the wrong way costs
+    scales, 4 to 24 bits or, for the kernel's sines, bases and sums, the 33
+    to 56 bits of precisions 1 to 24, where a rounding turned the wrong way costs
     a whole unit that no guard bit absorbs."""
 
     @given(
@@ -243,12 +246,17 @@ class TestRoundingSpecs:
     @example(work_bits=4, lo=3, extra=0, e=2)
     @example(work_bits=4, lo=3, extra=0, e=6)
     @example(work_bits=4, lo=3, extra=0, e=3)
+    @example(work_bits=4, lo=5, extra=0, e=2)
+    @example(work_bits=4, lo=5, extra=0, e=6)
+    @example(work_bits=4, lo=5, extra=0, e=3)
     @settings(max_examples=300, deadline=None)
     def test_power_bounds_the_exact_power(self, work_bits, lo, extra, e):
         # x**e for x in [lo, hi] / 2**w lies in [r_lo, r_hi] / 2**w, that is
         # r_lo * 2**(w e) <= lo**e * 2**w and r_hi * 2**(w e) >= hi**e * 2**w,
         # in exact integers; e = 2 is one squaring, e = 6 squares the
-        # base in both of the function's loops, and odd exponents multiply
+        # base in both of the function's loops, and odd exponents multiply;
+        # at the base 6/16 these three examples round in every bound of
+        # every loop, so each flip of a rounding there fails one of them
         lo %= 1 << (work_bits + 3)
         lo += 1
         hi = lo + extra
@@ -273,11 +281,54 @@ class TestRoundingSpecs:
 
     @given(work_bits=st.integers(4, 24), x=st.integers(2, 300))
     @example(work_bits=4, x=5)
+    @example(work_bits=4, x=2)
     @example(work_bits=24, x=239)
     @settings(max_examples=200, deadline=None)
     def test_arctan_series_contains_the_arctan(self, work_bits, x):
         lo, hi = _arctan_inv_scaled(x, work_bits)
         assert _mp_contains(mpmath.atan, 1, x, lo, hi, work_bits)
+
+    @given(work_bits=st.integers(4, 24))
+    @example(work_bits=4)
+    @settings(max_examples=30, deadline=None)
+    def test_pi_bounds_contain_pi(self, work_bits):
+        lo, hi = _pi_scaled(work_bits)
+        assert 0 < hi - lo <= 2
+        assert _mp_contains(lambda t: mpmath.pi * t, 1, 1, lo, hi, work_bits)
+
+    @given(
+        precision=st.integers(1, 24),
+        modulus=st.integers(2, 64),
+        m=st.integers(1, 63),
+        widen=st.tuples(st.integers(0, 2**20), st.integers(0, 2**20)),
+    )
+    @example(precision=1, modulus=5, m=2, widen=(0, 0))
+    @example(precision=24, modulus=7, m=3, widen=(2**20, 2**20))
+    @settings(max_examples=300, deadline=None)
+    def test_sine_bounds_contain_the_sine(self, precision, modulus, m, widen):
+        # for any enclosure of pi, here `_pi_scaled`'s widened by the drawn
+        # units each way: 2 sin(pi m / M) lies in [lo, hi] / 2**w, exact at
+        # the half turn, and with pi's own bounds at most 4 units wide
+        m = 1 + m % (modulus - 1)
+        work_bits = precision + _GUARD_BITS
+        original = intervals._pi_scaled
+
+        def widened(bits):
+            lo, hi = original(bits)
+            return lo - widen[0], hi + widen[1]
+
+        with mock.patch.object(intervals, "_pi_scaled", widened):
+            lo, hi = sin_enclosure.__wrapped__(m, modulus, precision)
+        turn = Fraction(min(m, modulus - m), modulus)
+        if turn == Fraction(1, 2):
+            assert lo == hi == 2 << work_bits
+        elif turn == Fraction(1, 6):
+            assert lo <= 1 << work_bits <= hi
+        else:
+            two_sine = lambda t: 2 * mpmath.sin(mpmath.pi * t)
+            assert _mp_contains(two_sine, turn.numerator, turn.denominator, lo, hi, work_bits)
+        if widen == (0, 0):
+            assert hi - lo <= _SINE_WIDTH_UNITS
 
     @given(precision=st.integers(1, 24), modulus=st.integers(2, 64), m=st.integers(1, 63))
     @example(precision=1, modulus=5, m=2)
@@ -681,3 +732,95 @@ class TestCertifyInteger:
         with pytest.raises(kind) as caught:
             certify_integer(iv)
         assert str(caught.value) == message
+
+
+# Installs a mutated kernel as `thetadim.intervals` before `thetadim` is
+# imported, then runs the named tests with -x: argv is the kernel's path,
+# the old and new text, and the test ids.  Hypothesis runs derandomized,
+# with no example database and no shrinking, so a run is repeatable and
+# stops at its first counterexample.
+_MUTATION_GATE = """
+import sys, types
+from pathlib import Path
+from hypothesis import Phase, settings
+path, old, new, *tests = sys.argv[1:]
+kernel = types.ModuleType("thetadim.intervals")
+kernel.__file__ = path
+exec(compile(Path(path).read_text().replace(old, new), path, "exec"), vars(kernel))
+sys.modules[kernel.__name__] = kernel
+import thetadim
+thetadim.intervals = kernel
+settings.register_profile("mutation-gate", database=None, derandomize=True,
+                          phases=[Phase.explicit, Phase.generate])
+settings.load_profile("mutation-gate")
+import pytest
+sys.exit(pytest.main(["-x", "-q", "-p", "no:cacheprovider",
+                     "-W", "ignore::pytest.PytestAssertRewriteWarning", *tests]))
+"""
+
+_ROOT = Path(__file__).resolve().parents[1]
+_KERNEL = _ROOT / "src" / "thetadim" / "intervals.py"
+_SPECS = "tests/test_intervals.py::TestRoundingSpecs::"
+
+# Each flip of `mutants.INTERVAL_FLIPS` and the test that must catch it: its
+# spec test, or for the certification and ladder flips, which no spec test
+# sees, the in-process test that pins the line.
+_GATE_TESTS = {
+    "power-result-upper-floored": _SPECS + "test_power_bounds_the_exact_power",
+    "power-first-loop-upper-floored": _SPECS + "test_power_bounds_the_exact_power",
+    "power-second-loop-upper-floored": _SPECS + "test_power_bounds_the_exact_power",
+    "power-result-lower-ceiled": _SPECS + "test_power_bounds_the_exact_power",
+    "power-first-loop-lower-ceiled": _SPECS + "test_power_bounds_the_exact_power",
+    "power-second-loop-lower-ceiled": _SPECS + "test_power_bounds_the_exact_power",
+    "sum-upper-floored": _SPECS + "test_sum_bounds_the_product_of_its_powers",
+    "sine-series-without-tail": _SPECS + "test_sine_series_contains_the_sine",
+    "sine-without-lipschitz-term": _SPECS + "test_sine_bounds_contain_the_sine",
+    "arctan-positive-upper-floored": _SPECS + "test_arctan_series_contains_the_arctan",
+    "arctan-negative-lower-ceiled": _SPECS + "test_arctan_series_contains_the_arctan",
+    "base-upper-floored": _SPECS + "test_cosecant_base_contains_the_cosecant",
+    "pi-upper-floored": _SPECS + "test_pi_bounds_contain_pi",
+    "sine-upper-rounded-down": _SPECS + "test_cosecant_base_contains_the_cosecant",
+    "certify-accepts-widths-below-one":
+        "tests/test_intervals.py::TestCertifyInteger::test_width_exactly_half_is_ambiguous",
+    "ladder-unclamped":
+        "tests/test_intervals.py::TestEvaluateSum::test_ladder_doubles_when_a_rung_misses",
+    "ladder-jumps-to-the-cap":
+        "tests/test_intervals.py::TestEvaluateSum::test_ladder_doubles_when_a_rung_misses",
+}
+
+
+def _run_gate(old, new, tests):
+    """Exit code and stderr of pytest running `tests` against the kernel
+    with `old` replaced by `new`."""
+    proc = subprocess.run(
+        [sys.executable, "-c", _MUTATION_GATE, str(_KERNEL), old, new, *tests],
+        cwd=_ROOT, capture_output=True, text=True, timeout=120,
+        env=dict(os.environ, PYTHONPATH=str(_ROOT / "src")),
+    )
+    return proc.returncode, proc.stderr
+
+
+class TestMutationGate:
+    @pytest.fixture(scope="class")
+    def gate(self):
+        """Each flip's gate run, keyed by flip, and the control run on the
+        real kernel, keyed by None; two runs at a time, one per CPU of a
+        small machine."""
+        runs = {flip: (old, new, [_GATE_TESTS[flip]]) for flip, (old, new) in INTERVAL_FLIPS.items()}
+        runs[None] = ("", "", sorted(set(_GATE_TESTS.values())))
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            futures = {key: pool.submit(_run_gate, *run) for key, run in runs.items()}
+        return {key: future.result() for key, future in futures.items()}
+
+    def test_real_kernel_passes_every_gate_test(self, gate):
+        # the harness itself breaks nothing, so a failure below is the flip's
+        code, stderr = gate[None]
+        assert code == pytest.ExitCode.OK, stderr
+
+    @pytest.mark.parametrize("flip", INTERVAL_FLIPS)
+    def test_flip_fails_its_tests(self, gate, flip):
+        old, _ = INTERVAL_FLIPS[flip]
+        assert _KERNEL.read_text().count(old) == 1, "the flip no longer matches the kernel"
+        code, stderr = gate[flip]
+        assert "Traceback" not in stderr, stderr
+        assert code == pytest.ExitCode.TESTS_FAILED

@@ -255,6 +255,17 @@ _L = FormalLineClass.symbol("L")
                      "genus and rank must be >= 1", id="jacobian-rank"),
         pytest.param(lambda: FormalLineClass() * 3, TypeError,
                      "unsupported operand", id="product-with-int"),
+        pytest.param(lambda: _L ** "x", TypeError, "unsupported operand", id="power-str"),
+        pytest.param(lambda: _L ** 1.5, TypeError, "unsupported operand", id="power-float"),
+        pytest.param(lambda: _L ** True, TypeError, "unsupported operand", id="power-bool"),
+        pytest.param(lambda: FormalLineClass({"L": 0.5}), TypeError,
+                     "exponents and degrees must be ints", id="exponent-float"),
+        pytest.param(lambda: FormalLineClass({"L": True}), TypeError,
+                     "exponents and degrees must be ints", id="exponent-bool"),
+        pytest.param(lambda: FormalLineClass.symbol("L", degree=0.5), TypeError,
+                     "exponents and degrees must be ints", id="degree-float"),
+        pytest.param(lambda: FormalLineClass.symbol("L", degree="3"), TypeError,
+                     "exponents and degrees must be ints", id="degree-str"),
     ],
 )
 def test_guards_raise_their_messages(call, error, message):
