@@ -45,8 +45,11 @@ jacobian` genus below 1).  The `thetadim` entry point (`run`) restores
 the default SIGPIPE disposition where the platform has one, so a reader
 that closes stdout early (`thetadim table ... | head`) ends the process
 quietly by that signal, as it ends Unix filters, rather than with a
-traceback and exit 1; `main` itself leaves signal handling to its
-caller.
+traceback and exit 1.  Once `main` has returned, `run` freezes the live
+heap (`gc.freeze`), so the interpreter's shutdown collections skip the
+objects the process is about to hand back to the system; atexit handlers
+still run and stdout and stderr are still flushed.  `main` itself leaves
+signal handling and the garbage collector to its caller.
 """
 
 import signal
@@ -432,7 +435,12 @@ def main(argv=None) -> int:
 def run() -> None:
     if hasattr(signal, "SIGPIPE"):
         signal.signal(signal.SIGPIPE, signal.SIG_DFL)
-    sys.exit(main())
+    code = main()
+    # The process ends here: move its live heap into the permanent
+    # generation, which the interpreter's shutdown collections skip.
+    import gc
+    gc.freeze()
+    sys.exit(code)
 
 
 if __name__ == "__main__":

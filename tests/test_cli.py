@@ -2,6 +2,7 @@
 
 import ast
 import contextlib
+import gc
 import io
 import itertools
 import json
@@ -442,6 +443,60 @@ class TestClosedStdout:
             proc.stderr.close()
         assert "Traceback" not in stderr
         assert code == -signal.SIGPIPE
+
+
+# a trig-sum `dim` in text, a failing check in JSON and a usage error
+_EXIT_SAMPLES = [
+    ("dim sl -g 3 -n 3 -d -12 -k 3 --format text", EXIT_OK),
+    ("check theorem1 --negative-control --max-rank 2 --max-level 2 --genus-range 1..2 "
+     "--max-abs-degree 2 --format json", EXIT_CHECK_FAILED),
+    ("check nosuch", EXIT_USAGE),
+]
+
+
+class TestProcessExit:
+    def test_main_leaves_the_collector_as_it_found_it(self, capsys):
+        # only the process entry point `run` freezes the heap, so pytest and
+        # library callers keep their collector as they set it
+        before = gc.get_freeze_count(), gc.isenabled()
+        code, _, _ = run_cli(capsys, "check", "elliptic", "--max-rank", "2", "--max-level", "2")
+        assert code == EXIT_OK
+        code, _, _ = run_cli(capsys, "dim", "sl", "-g", "3", "-n", "3", "-d", "0", "-k", "3")
+        assert code == EXIT_OK
+        assert (gc.get_freeze_count(), gc.isenabled()) == before
+
+    @pytest.mark.parametrize("argv, code", _EXIT_SAMPLES, ids=["dim", "failing-check", "usage"])
+    def test_process_stdout_and_exit_code_match_the_goldens(self, argv, code):
+        want = json.loads(GOLDEN.read_text())[argv]
+        proc = subprocess.run([sys.executable, "-m", "thetadim.cli", *argv.split(" ")],
+                              capture_output=True, env=_env_with_src(), timeout=30)
+        assert want["exit"] == code
+        assert (proc.returncode, proc.stdout) == (code, want["stdout"].encode())
+
+    def test_run_freezes_the_heap_and_keeps_atexit_handlers(self):
+        # a handler registered before `run` still runs at shutdown, after
+        # the heap was frozen and after the process's own output
+        argv, code = _EXIT_SAMPLES[0]
+        script = (
+            "import atexit, gc, sys\nfrom thetadim.cli import run\n"
+            "atexit.register(lambda: print('atexit: frozen', gc.get_freeze_count() > 0))\n"
+            f"sys.argv[1:] = {argv.split(' ')!r}\nrun()"
+        )
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                              env=_env_with_src(), timeout=30)
+        want = json.loads(GOLDEN.read_text())[argv]["stdout"] + "atexit: frozen True\n"
+        assert (proc.returncode, proc.stdout, proc.stderr) == (code, want.encode(), b"")
+
+    def test_dev_mode_child_shuts_down_without_warnings(self):
+        # the dev-mode tier-1 run calls `main` in process; this child runs
+        # the whole process entry point, shutdown included
+        proc = subprocess.run(
+            [sys.executable, "-X", "dev", "-W", "error::ResourceWarning", "-m", "thetadim.cli",
+             "check", "theorem1"],
+            capture_output=True, text=True, env=_env_with_src(), timeout=60,
+        )
+        assert (proc.returncode, proc.stderr) == (EXIT_OK, "")
+        assert proc.stdout.endswith(": PASS\n")
 
 
 def _in_fresh_interpreter(code):
